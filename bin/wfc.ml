@@ -106,25 +106,6 @@ let witness_out_arg =
   let doc = "On violation, store the shrunk replayable witness to $(docv)." in
   Arg.(value & opt (some string) None & info [ "witness" ] ~docv:"FILE" ~doc)
 
-let no_intern_arg =
-  let doc =
-    "Disable hash-consed (interned) duplicate-state keys and fall back to \
-     deep structural fingerprints. Escape hatch for debugging the engine; \
-     verdicts are identical either way, interning is only faster. Implies \
-     $(b,--no-symmetry) and disables the flat fingerprint path (which \
-     encodes interned-cell ids)."
-  in
-  Arg.(value & flag & info [ "no-intern" ] ~doc)
-
-let no_compile_arg =
-  let doc =
-    "Disable the compiled step kernel (interned transition tables driving \
-     an in-place configuration) and run the boxed interpreter instead. \
-     Escape hatch for debugging the engine; verdicts, counts and traces \
-     are identical either way, compilation is only faster."
-  in
-  Arg.(value & flag & info [ "no-compile" ] ~doc)
-
 let no_symmetry_arg =
   let doc =
     "Disable process-symmetry reduction (merging schedules that differ only \
@@ -164,13 +145,11 @@ let resume_arg =
 
 let mem_budget_arg =
   let doc =
-    "Soft major-heap budget in MiB. Under pressure the flat engine \
+    "Soft major-heap budget in MiB. Under pressure the engine \
      migrates exact duplicate-state tables into Bloom filters and spills \
      pending frontier entries to disk: the search finishes, but dedup \
      becomes probabilistic, so a clean pass reports UNKNOWN instead of \
-     VERIFIED (violations found are still definitive). With \
-     $(b,--no-intern) the boxed engine instead evicts tables (oldest \
-     domain first) and degrades to undeduped exploration."
+     VERIFIED (violations found are still definitive)."
   in
   Arg.(value & opt (some int) None & info [ "mem-budget" ] ~docv:"MB" ~doc)
 
@@ -314,7 +293,7 @@ let print_verdict ~name ~procs ~crashes ~recoveries ~glitches ~degrade
 
 let verify_cmd =
   let run name procs crashes recoveries glitches degrade budget deadline_s
-      witness_file no_intern no_symmetry no_compile ckpt_file ckpt_interval
+      witness_file no_symmetry ckpt_file ckpt_interval
       resume_file mem_budget_mb =
     let impl = make_protocol ~procs name in
     let faults =
@@ -322,14 +301,7 @@ let verify_cmd =
     in
     if not (Wfc_sim.Faults.is_none faults) then
       Fmt.pr "adversary: %a@." Wfc_sim.Faults.pp faults;
-    let engine =
-      {
-        Wfc_sim.Explore.fast with
-        intern = not no_intern;
-        symmetry = not (no_symmetry || no_intern);
-        compile = not no_compile;
-      }
-    in
+    let engine = { Wfc_sim.Explore.fast with symmetry = not no_symmetry } in
     let resume = load_resume ~name ~procs resume_file in
     let checkpoint =
       match (ckpt_file, resume_file) with
@@ -355,11 +327,11 @@ let verify_cmd =
          "Exhaustively check a consensus protocol, optionally under a fault \
           adversary and/or an exploration budget")
     Term.(
-      const (fun n p c r g d b dl w ni ns nc cf ci rf mb ->
-          Stdlib.exit (run n p c r g d b dl w ni ns nc cf ci rf mb))
+      const (fun n p c r g d b dl w ns cf ci rf mb ->
+          Stdlib.exit (run n p c r g d b dl w ns cf ci rf mb))
       $ protocol_arg $ procs_arg $ crashes_arg $ recoveries_arg $ glitches_arg
       $ degrade_arg $ budget_arg $ deadline_arg $ witness_out_arg
-      $ no_intern_arg $ no_symmetry_arg $ no_compile_arg $ checkpoint_arg
+      $ no_symmetry_arg $ checkpoint_arg
       $ checkpoint_interval_arg $ resume_arg $ mem_budget_arg)
 
 (* --- serve / worker: the distributed fleet ---------------------------------- *)
@@ -822,11 +794,9 @@ let checkpoint_cmd =
       | None -> ());
       Fmt.pr "  processes     %d@."
         (Array.length ck.Wfc_sim.Checkpoint.workloads);
-      Fmt.pr "  engine        dedup=%b por=%b domains=%d intern=%b \
-              symmetry=%b flat=%b@."
+      Fmt.pr "  engine        dedup=%b por=%b domains=%d symmetry=%b@."
         e.Wfc_sim.Checkpoint.dedup e.Wfc_sim.Checkpoint.por
-        e.Wfc_sim.Checkpoint.domains e.Wfc_sim.Checkpoint.intern
-        e.Wfc_sim.Checkpoint.symmetry e.Wfc_sim.Checkpoint.flat;
+        e.Wfc_sim.Checkpoint.domains e.Wfc_sim.Checkpoint.symmetry;
       Fmt.pr "  fuel          %d@." ck.Wfc_sim.Checkpoint.fuel;
       (match ck.Wfc_sim.Checkpoint.budget_left with
       | Some b -> Fmt.pr "  budget left   %d nodes@." b

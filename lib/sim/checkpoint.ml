@@ -2,14 +2,7 @@ open Wfc_spec
 
 (* Mirror of Explore.options — Checkpoint sits below Explore (Witness depends
    on Explore, Explore depends on Checkpoint), so it cannot name that type. *)
-type engine = {
-  dedup : bool;
-  por : bool;
-  domains : int;
-  intern : bool;
-  symmetry : bool;
-  flat : bool;
-}
+type engine = { dedup : bool; por : bool; domains : int; symmetry : bool }
 
 type counts = {
   leaves : int;
@@ -92,52 +85,39 @@ let make ?(meta = []) ~engine ~fuel ?budget_left ~faults ~workloads ~counts
 (* --- serialization -----------------------------------------------------------
 
    Line-oriented text in the wfc-witness/1 style, reusing the Faults line
-   codec for the adversary and workloads. The digest line covers the
-   canonical body (everything after it): [of_string] re-serializes what it
-   parsed and compares, so any corruption that changes the meaning of the
-   file — even one surviving the parser — is refused.
+   codec for the adversary and workloads. The digest line covers the body
+   (everything after it) byte for byte as read, so any edit — even one the
+   parser would read back to the same checkpoint — is refused.
 
    Two versions coexist. wfc-checkpoint/1 carried an MD5 hex digest and no
-   flat/spilled/probabilistic fields; wfc-checkpoint/2 digests the body with
+   spilled/probabilistic fields; wfc-checkpoint/2 digests the body with
    [Fingerprint.hash_string] (16 hex chars) and adds those fields. [save]
    always writes v2; [of_string] still parses v1 (new fields default to
-   zero, digest verified as MD5 against the v1 body serialization). *)
+   zero). Engine lines written before the dedup representation was fixed
+   also carry [intern=] and [flat=] keys: they selected how duplicate
+   states were keyed, never which tree was explored, so the parser ignores
+   them and such files resume like any other. *)
 
 let header = "wfc-checkpoint/2"
 let header_v1 = "wfc-checkpoint/1"
 
-let body_lines ?(version = 2) t =
+let body_lines t =
   let b = Buffer.create 512 in
   let line fmt = Fmt.kstr (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   List.iter (fun (k, v) -> line "meta %s %s" k v) t.meta;
-  if version >= 2 then
-    line "engine dedup=%d por=%d domains=%d intern=%d symmetry=%d flat=%d"
-      (Bool.to_int t.engine.dedup) (Bool.to_int t.engine.por) t.engine.domains
-      (Bool.to_int t.engine.intern)
-      (Bool.to_int t.engine.symmetry)
-      (Bool.to_int t.engine.flat)
-  else
-    line "engine dedup=%d por=%d domains=%d intern=%d symmetry=%d"
-      (Bool.to_int t.engine.dedup) (Bool.to_int t.engine.por) t.engine.domains
-      (Bool.to_int t.engine.intern)
-      (Bool.to_int t.engine.symmetry);
+  line "engine dedup=%d por=%d domains=%d symmetry=%d"
+    (Bool.to_int t.engine.dedup) (Bool.to_int t.engine.por) t.engine.domains
+    (Bool.to_int t.engine.symmetry);
   line "fuel %d" t.fuel;
   (match t.budget_left with Some n -> line "budget %d" n | None -> ());
   let c = t.counts in
-  if version >= 2 then
-    line
-      "counts leaves=%d nodes=%d max_events=%d max_op_steps=%d overflows=%d \
-       pruned=%d sleep_skips=%d degraded=%d evictions=%d spilled=%d \
-       probabilistic=%d"
-      c.leaves c.nodes c.max_events c.max_op_steps c.overflows c.pruned
-      c.sleep_skips c.degraded c.evictions c.spilled
-      (Bool.to_int c.probabilistic)
-  else
-    line
-      "counts leaves=%d nodes=%d max_events=%d max_op_steps=%d overflows=%d \
-       pruned=%d sleep_skips=%d degraded=%d evictions=%d"
-      c.leaves c.nodes c.max_events c.max_op_steps c.overflows c.pruned
-      c.sleep_skips c.degraded c.evictions;
+  line
+    "counts leaves=%d nodes=%d max_events=%d max_op_steps=%d overflows=%d \
+     pruned=%d sleep_skips=%d degraded=%d evictions=%d spilled=%d \
+     probabilistic=%d"
+    c.leaves c.nodes c.max_events c.max_op_steps c.overflows c.pruned
+    c.sleep_skips c.degraded c.evictions c.spilled
+    (Bool.to_int c.probabilistic);
   line "max_accesses %s"
     (String.concat "|" (Array.to_list (Array.map string_of_int c.max_accesses)));
   line "%s" (Faults.budgets_line t.faults);
@@ -179,24 +159,50 @@ let parse_kv_ints body keys =
 let kv_default body key default =
   Option.value (List.assoc_opt key (kv_fields body)) ~default
 
+(* The first line at or after [pos] that is neither blank nor a comment,
+   trimmed, with the offset just past its newline. *)
+let rec next_line s pos =
+  let n = String.length s in
+  if pos >= n then None
+  else
+    let stop = Option.value (String.index_from_opt s pos '\n') ~default:n in
+    let l = String.trim (String.sub s pos (stop - pos)) in
+    let next = min n (stop + 1) in
+    if l = "" || l.[0] = '#' then next_line s next else Some (l, next)
+
 let of_string s =
-  let lines =
-    String.split_on_char '\n' s
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-  in
-  let* version =
-    match lines with
-    | h :: _ when h = header -> Ok 2
-    | h :: _ when h = header_v1 -> Ok 1
+  let* version, pos =
+    match next_line s 0 with
+    | Some (h, pos) when h = header -> Ok (2, pos)
+    | Some (h, pos) when h = header_v1 -> Ok (1, pos)
     | _ -> Error (Fmt.str "expected %s (or %s) header" header header_v1)
   in
-  let lines = List.tl lines in
-  let* digest, lines =
-    match lines with
-    | l :: rest when String.length l > 7 && String.sub l 0 7 = "digest " ->
-      Ok (String.sub l 7 (String.length l - 7), rest)
+  let* digest, pos =
+    match next_line s pos with
+    | Some (l, pos) when String.length l > 7 && String.sub l 0 7 = "digest " ->
+      Ok (String.sub l 7 (String.length l - 7), pos)
     | _ -> Error "expected digest line"
+  in
+  let body = String.sub s pos (String.length s - pos) in
+  let given = String.lowercase_ascii (String.trim digest) in
+  let* () =
+    let matches =
+      if version = 1 then given = Digest.to_hex (Digest.string body)
+      else
+        match int_of_string_opt ("0x" ^ given) with
+        | Some d -> d = Fingerprint.hash_string body
+        | None -> false
+    in
+    if matches then Ok ()
+    else
+      Error
+        (Fmt.str "checkpoint digest mismatch (%s file corrupted or edited)"
+           (if version = 1 then header_v1 else header))
+  in
+  let lines =
+    String.split_on_char '\n' body
+    |> List.map String.trim
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
   in
   let meta = ref [] in
   let engine = ref None in
@@ -226,19 +232,17 @@ let of_string s =
       | None -> Error (Fmt.str "bad meta line %S" l))
     | "engine" ->
       let* fields =
-        parse_kv_ints body [ "dedup"; "por"; "domains"; "intern"; "symmetry" ]
+        parse_kv_ints body [ "dedup"; "por"; "domains"; "symmetry" ]
       in
       (match fields with
-      | [ dedup; por; domains; intern; symmetry ] ->
+      | [ dedup; por; domains; symmetry ] ->
         engine :=
           Some
             {
               dedup = dedup <> 0;
               por = por <> 0;
               domains;
-              intern = intern <> 0;
               symmetry = symmetry <> 0;
-              flat = kv_default body "flat" 0 <> 0;
             }
       | _ -> assert false);
       Ok ()
@@ -369,7 +373,7 @@ let of_string s =
       Ok arr)
     else Error "workload lines must cover processes 0..n-1 exactly once"
   in
-  let t =
+  Ok
     {
       meta = List.rev !meta;
       engine;
@@ -380,21 +384,6 @@ let of_string s =
       counts;
       frontier = List.rev !frontier;
     }
-  in
-  let body = body_lines ~version t in
-  let given = String.lowercase_ascii (String.trim digest) in
-  let matches =
-    if version = 1 then given = Digest.to_hex (Digest.string body)
-    else
-      match int_of_string_opt ("0x" ^ given) with
-      | Some d -> d = Fingerprint.hash_string body
-      | None -> false
-  in
-  if matches then Ok t
-  else
-    Error
-      (Fmt.str "checkpoint digest mismatch (%s file corrupted or edited)"
-         (if version = 1 then header_v1 else header))
 
 (* --- file I/O ---------------------------------------------------------------- *)
 
@@ -441,7 +430,7 @@ let load path =
 
 let engine_equal a b =
   a.dedup = b.dedup && a.por = b.por && a.domains = b.domains
-  && a.intern = b.intern && a.symmetry = b.symmetry && a.flat = b.flat
+  && a.symmetry = b.symmetry
 
 let workloads_equal a b =
   Array.length a = Array.length b

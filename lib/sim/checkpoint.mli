@@ -11,7 +11,7 @@
 
     The file format is line-oriented text in the wfc-witness/1 style and
     reuses the {!Faults} line codec (fault budgets, degradations, workloads,
-    decision traces). A [digest] line covers the canonical body — a
+    decision traces). A [digest] line covers the body bytes — a
     {!Wfc_spec.Fingerprint.hash_string} digest in the current
     wfc-checkpoint/2 format, MD5 in the legacy /1 format, which still
     parses. {!of_string} refuses files whose digest does not match, and
@@ -20,16 +20,11 @@
 
 open Wfc_spec
 
-type engine = {
-  dedup : bool;
-  por : bool;
-  domains : int;
-  intern : bool;
-  symmetry : bool;
-  flat : bool;
-}
+type engine = { dedup : bool; por : bool; domains : int; symmetry : bool }
 (** Mirror of [Explore.options] (this module sits below [Explore] in the
-    dependency order, so it cannot name that type). *)
+    dependency order, so it cannot name that type). Engine lines of older
+    files may also carry [intern=] and [flat=] keys; the parser ignores
+    them — they chose a dedup representation, never the explored tree. *)
 
 type counts = {
   leaves : int;
@@ -93,7 +88,7 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Total: returns [Error _] on any malformed input, never raises. Verifies
-    the digest by re-serializing the parsed checkpoint. *)
+    the digest over the body bytes exactly as read, before parsing them. *)
 
 val save : t -> path:string -> unit
 (** Atomic {e and} durable: writes [path ^ ".tmp"], fsyncs it, renames, and

@@ -7,15 +7,24 @@
     workloads (consensus checking over all input vectors, the §4.2 access
     bounds behind König's bound D, Theorem 5 pipelines) revisit the same
     configuration over and over along different schedules. This module keeps
-    the naive engine's semantics and statistics contract while adding four
-    independent optimizations:
+    the naive engine's semantics and statistics contract while adding
+    independent reductions, each an option:
 
     - {b duplicate-state pruning} ([dedup]): configurations are fingerprinted
       — object states, per-process control state (todo suffix, pending
       continuation identified by its invocation + responses so far, local
       state), completed operations' {e values} and step counts, crash
       bookkeeping, event and access totals — and a revisited fingerprint cuts
-      the whole subtree ([stats.pruned] counts the cuts);
+      the whole subtree ([stats.pruned] counts the cuts). The key is a flat
+      [int array] of hash-consed cell ids, maintained incrementally along
+      tree edges and hashed into a fixed-width ⟨hi, lo⟩ 124-bit fingerprint
+      ({!Wfc_spec.Fingerprint}) probed in an open-addressing table — no
+      boxed key is built on the hot path; the risk of a hash-compaction
+      collision is ≈2^-64 at 10^9 states. Runs that outgrow
+      [?mem_budget_mb] migrate the table into a constant-memory Bloom filter
+      instead of dropping dedup, and in frontier mode the pending-subtree
+      queue spills to disk beyond a small in-RAM window; a Bloom-tier run
+      reports [Partial Probabilistic] instead of [Exhaustive];
     - {b partial-order reduction} ([por]): a source-set/sleep-set rule
       explores only one order of two adjacent steps when they are commuting
       deterministic accesses — to {e different} base objects, or state-
@@ -23,19 +32,22 @@
       sibling subtrees skipped); each process's poised step and its
       alternatives are computed {e once} per node and shared between the
       independence check and child generation;
-    - {b flat-state fingerprinting} ([flat]): the dedup key is a flat
-      [int array] of interned-cell ids hashed into a fixed-width ⟨hi, lo⟩
-      124-bit fingerprint ({!Wfc_spec.Fingerprint}) probed in an
-      open-addressing table — no boxed key is ever built on the hot path.
-      Runs that outgrow [?mem_budget_mb] migrate the table into a constant-
-      memory Bloom filter instead of dropping dedup entirely, and in
-      frontier mode the pending-subtree queue spills to disk beyond a small
-      in-RAM window; a Bloom-tier run reports
-      [Partial Probabilistic] instead of [Exhaustive];
+    - {b process-symmetry reduction} ([symmetry]): see {!Symmetry};
     - {b multicore fan-out} ([domains]): the top of the tree is expanded
       breadth-first and the frontier subtrees are explored on a pool of
       OCaml 5 domains, with per-domain statistics merged at the end
       ([on_leaf] is serialized through a mutex when [domains > 1]).
+
+    {b Engine paths.} Which code walks the tree follows from the run's
+    inputs, not from an option. A run on one domain with no checkpoint, no
+    resume and no fault branching uses the compiled kernel: one mutable
+    configuration with an undo log, base-object steps answered from lazily
+    compiled {!Wfc_spec.Step_table} transition tables, and program
+    continuations memoized per ⟨node, response⟩ via
+    {!Wfc_program.Program.step}. Every other run — fault adversaries,
+    checkpointed or resumed runs, the domain pool — uses the interpreter
+    over persistent configurations. Both walk the same tree with the same
+    counters and pruning decisions.
 
     {b Soundness envelope.} Both reductions preserve the {e set of
     timing-insensitive leaf observations}: final object states, final locals,
@@ -57,52 +69,17 @@ open Wfc_spec
 type options = {
   dedup : bool;  (** prune subtrees of revisited configurations *)
   por : bool;  (** source-set dynamic partial-order reduction *)
-  domains : int;  (** size of the exploration pool; 1 = sequential *)
-  intern : bool;
-      (** hash-consed dedup keys: fingerprints are maintained incrementally
-          as {!Wfc_spec.Value.Intern} cells along tree edges (only the
-          components a transition touched are re-interned, detected by
-          physical diff of the persistent configuration arrays), and the
-          dedup probe becomes a physical-equality lookup on a cached hash
-          instead of a deep [Value.hash]/[Value.equal] walk. Purely a
-          representation change: the same states merge. No effect unless
-          [dedup] is on. *)
   symmetry : bool;
       (** process-symmetry reduction: canonicalize the dedup {e key} (never
           the configuration) under permutations of interchangeable
           processes, so schedules differing only by a pid permutation within
-          a class merge. Active only when [dedup] and [intern] are on, the
-          implementation declares {!Wfc_program.Implementation.symmetric},
-          every base spec is port-oblivious, no user tracker is supplied,
-          and at least two processes have equal workloads and equal initial
-          locals (see {!Symmetry}). Otherwise silently a no-op — which is
-          why it is safe to have on by default in {!fast}. *)
-  flat : bool;
-      (** flat-state hot path: encode the configuration as a contiguous
-          [int array] of interned-cell ids, fingerprint it with
-          {!Wfc_spec.Fingerprint.hash_array} and probe the fixed-width
-          ⟨hi, lo⟩ pair in an open-addressing table (or its Bloom second
-          tier under memory pressure) — replacing the boxed
-          [Value.t]-keyed hash table. Same states merge (cell ids are
-          unique within an intern state), up to a ≈2^-64 hash-compaction
-          collision risk at 10^9 states. Effective only when [dedup] and
-          [intern] are both on. *)
-  compile : bool;
-      (** compiled step kernel: run the sequential flat DFS on a single
-          mutable configuration with an undo log (apply the step in place,
-          recurse, revert on backtrack — no per-edge [Array.copy] fan-out),
-          answer base-object invocations from lazily compiled
-          {!Wfc_spec.Step_table} transition tables instead of applying the
-          spec's transition closure, and memoize program continuations per
-          ⟨node, response⟩ via {!Wfc_program.Program.step} so re-exploring a
-          prefix never re-runs the free monad. Purely a representation
-          change: node visit order, counters, leaf observations, pruning
-          decisions and verdicts are bit-identical to the boxed path (the
-          parity suite in [test/test_flat.ml] asserts this). Engaged only
-          where that parity is already guaranteed: sequential ([domains =
-          1]), [flat] (hence [intern]) on, no fault adversary, no
-          checkpointing — in every other configuration the engine silently
-          falls back to the boxed path. *)
+          a class merge. Active only when [dedup] is on, the implementation
+          declares {!Wfc_program.Implementation.symmetric}, every base spec
+          is port-oblivious, no user tracker is supplied, and at least two
+          processes have equal workloads and equal initial locals (see
+          {!Symmetry}). Otherwise silently a no-op — which is why it is
+          safe to have on by default in {!fast}. *)
+  domains : int;  (** size of the exploration pool; 1 = sequential *)
 }
 
 val naive : options
@@ -110,8 +87,8 @@ val naive : options
     statistics) of {!Exec.explore}. *)
 
 val fast : options
-(** [dedup] + [por] + [intern] + [symmetry] + [flat] + [compile],
-    sequential. The right choice for timing-insensitive verdicts. *)
+(** [dedup] + [por] + [symmetry], sequential. The right choice for
+    timing-insensitive verdicts. *)
 
 val parallel : ?domains:int -> unit -> options
 (** [fast] plus a domain pool (default:
@@ -124,9 +101,7 @@ val engine_of_options : options -> Checkpoint.engine
     resume cleanly. *)
 
 val options_of_engine : Checkpoint.engine -> options
-(** Inverse of {!engine_of_options} on the serialized fields. [compile] is
-    not stored — it changes how the tree is walked, never which tree — so
-    resumed runs default it on. *)
+(** Inverse of {!engine_of_options}. *)
 
 (** Process-symmetry classes: which processes are interchangeable.
 
@@ -199,11 +174,9 @@ type stats = {
           verdict is unaffected; [> 0] means the run limped home on fewer
           domains than requested. *)
   evictions : int;
-      (** memory-watchdog actions ([?mem_budget_mb]): on the flat path the
-          exact fingerprint table was migrated into its constant-memory
-          Bloom tier (completeness degrades to [Partial Probabilistic]);
-          on the boxed path the dedup table was dropped and the domain fell
-          back to undeduped — but alive — exploration *)
+      (** memory-watchdog actions ([?mem_budget_mb]): a domain's exact
+          fingerprint table was migrated into its constant-memory Bloom tier
+          (completeness degrades to [Partial Probabilistic]) *)
   spilled : int;
       (** frontier work items demoted to disk ({!Frontier}) instead of held
           materialized in RAM; each is re-read and replayed when taken *)
@@ -379,15 +352,14 @@ val run :
 
     [mem_budget_mb] arms the memory watchdog: every 1024 nodes a domain
     samples the major heap, and past the budget dedup state is shed
-    ([stats.evictions]) instead of OOM. On the flat path the exact
+    ([stats.evictions]) instead of OOM: oldest domain first, the exact
     fingerprint table migrates into a Bloom filter of [2^bloom_bits_log2]
     bits (default {!Wfc_spec.Fingerprint.Bloom.default_bits_log2}) and the
-    run's clean sweep becomes [Partial Probabilistic]; on the boxed path
-    tables are dropped oldest-domain-first, degrading to undeduped — but
-    alive — exploration. In frontier mode (checkpoint sink or large pool
-    expansions) an armed watchdog additionally spills pending subtrees
-    beyond a small in-RAM window to a disk file as decision-trace prefixes
-    ([stats.spilled]), re-materialized by replay when taken.
+    run's clean sweep becomes [Partial Probabilistic]. In frontier mode
+    (checkpoint sink or large pool expansions) an armed watchdog
+    additionally spills pending subtrees beyond a small in-RAM window to a
+    disk file as decision-trace prefixes ([stats.spilled]),
+    re-materialized by replay when taken.
 
     [stall_timeout_s] arms stuck-worker supervision in the pool: the
     coordinator samples per-worker heartbeats (nodes visited) and a worker

@@ -123,7 +123,6 @@ let assert_equiv ?fuel ?max_crashes impl workloads =
     [
       ("dedup", { Explore.naive with dedup = true });
       ("por", { Explore.naive with por = true });
-      ("dedup-nointern", { Explore.fast with intern = false; symmetry = false });
       ("fast", { Explore.fast with symmetry = false });
     ];
   let s_sym, sym_leaves =

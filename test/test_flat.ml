@@ -1,10 +1,11 @@
-(* E14 — flat-state hot path: the flat engine (fixed-width fingerprints in
-   an open-addressing table) must be observationally identical to the boxed
-   interned-key engine — same node/leaf counts, same observations, same
-   downstream verdicts including under fault adversaries — the Bloom second
-   tier must only ever prune (never flip a Falsified verdict, always
-   downgrade a clean sweep), and the fingerprint structures themselves are
-   fuzzed against oracles. *)
+(* E14 — flat-state hot path: every engine path of [Explore.fast] (the
+   compiled kernel, the interpreted fault path, and frontier mode with a
+   checkpoint sink or a domain pool) must reach exactly the outcome set and
+   the consensus verdict of the naive [Exec.explore] oracle, including under
+   fault adversaries; the compiled step tables must agree with the
+   interpreted specs; the Bloom second tier must only ever prune (never flip
+   a Falsified verdict, always downgrade a clean sweep); and the fingerprint
+   structures themselves are fuzzed against oracles. *)
 
 open Wfc_spec
 open Wfc_zoo
@@ -94,58 +95,6 @@ let collect ?faults ?(dedup_threshold = 0) ?bloom_bits_log2 ?mem_budget_mb
   in
   (stats, List.sort Value.compare !acc)
 
-(* --- flat vs boxed engine parity ------------------------------------------- *)
-
-(* The flat encoding carries exactly the information of the boxed interned
-   key (cell ids are unique within an intern state), so the two engines must
-   make identical pruning decisions: every count matches, not just the
-   observation set. *)
-let assert_flat_boxed_parity ?faults ~msg impl workloads =
-  List.iter
-    (fun (sub, flat_opts) ->
-      let boxed_opts = { flat_opts with Explore.flat = false } in
-      let sf, lf = collect ?faults ~options:flat_opts impl workloads in
-      let sb, lb = collect ?faults ~options:boxed_opts impl workloads in
-      let msg = msg ^ "/" ^ sub in
-      Alcotest.(check int) (msg ^ ": nodes") sb.Explore.nodes sf.Explore.nodes;
-      Alcotest.(check int) (msg ^ ": leaves") sb.Explore.leaves
-        sf.Explore.leaves;
-      Alcotest.(check int) (msg ^ ": pruned") sb.Explore.pruned
-        sf.Explore.pruned;
-      Alcotest.(check int)
-        (msg ^ ": sleep_skips")
-        sb.Explore.sleep_skips sf.Explore.sleep_skips;
-      Alcotest.(check int) (msg ^ ": max_events") sb.Explore.max_events
-        sf.Explore.max_events;
-      Alcotest.(check (array int))
-        (msg ^ ": max_accesses")
-        sb.Explore.max_accesses sf.Explore.max_accesses;
-      Alcotest.(check (list value)) (msg ^ ": observations") lb lf)
-    [
-      ("fast", { Explore.fast with symmetry = false });
-      ("fast+symmetry", Explore.fast);
-      ("dedup-only", { Explore.naive with dedup = true; intern = true;
-                       flat = true });
-    ]
-
-let test_parity_fixed () =
-  let impl = rw_impl ~procs:3 ~bits:2 ~coin:false in
-  assert_flat_boxed_parity ~msg:"fixed" impl
-    [| [ wr 0 true; rd 1 ]; [ cp 0 1 ]; [ rd 0; wr 1 false ] |]
-
-let test_parity_faults () =
-  let impl = rw_impl ~procs:2 ~bits:2 ~coin:false in
-  assert_flat_boxed_parity
-    ~faults:
-      {
-        Faults.max_crashes = 1;
-        max_recoveries = 1;
-        max_glitches = 0;
-        degraded = [ (0, Faults.Stale_reads 1) ];
-      }
-    ~msg:"faults" impl
-    [| [ wr 0 true; rd 1 ]; [ cp 0 1; rd 0 ] |]
-
 let gen_workloads =
   let open QCheck.Gen in
   let* procs = int_range 2 3 in
@@ -167,18 +116,6 @@ let gen_workloads =
   in
   let+ wls = array_size (return procs) (list_size (int_range 0 2) op) in
   (procs, bits, coin, wls)
-
-let prop_parity =
-  QCheck.Test.make ~count:40
-    ~name:"flat and boxed engines agree exactly on random workloads"
-    (QCheck.make gen_workloads ~print:(fun (procs, bits, coin, wls) ->
-         Fmt.str "procs=%d bits=%d coin=%b workloads=%a" procs bits coin
-           Fmt.(array (list Value.pp))
-           wls))
-    (fun (procs, bits, coin, wls) ->
-      let impl = rw_impl ~procs ~bits ~coin in
-      assert_flat_boxed_parity ~msg:"qcheck" impl wls;
-      true)
 
 (* --- compiled step tables vs the interpreted spec --------------------------- *)
 
@@ -238,113 +175,203 @@ let test_step_table_agrees_with_zoo () =
         [ -1; spec.Type_spec.ports ])
     (Wfc_zoo.Catalog.all ~ports:2)
 
-(* --- compiled kernel vs interpreted engine ---------------------------------- *)
+(* --- oracle: every engine path against Exec.explore ------------------------- *)
 
-(* The compiled kernel (step tables + in-place configuration) must be
-   observationally identical to the interpreted engine it replaces: every
-   count, every observation, with and without POR/dedup. *)
-let assert_compiled_interp_parity ~msg impl workloads =
-  List.iter
-    (fun (sub, opts) ->
-      let sc, lc = collect ~options:opts impl workloads in
-      let si, li =
-        collect ~options:{ opts with Explore.compile = false } impl workloads
-      in
-      let msg = msg ^ "/" ^ sub in
-      Alcotest.(check int) (msg ^ ": nodes") si.Explore.nodes sc.Explore.nodes;
-      Alcotest.(check int) (msg ^ ": leaves") si.Explore.leaves
-        sc.Explore.leaves;
-      Alcotest.(check int) (msg ^ ": pruned") si.Explore.pruned
-        sc.Explore.pruned;
-      Alcotest.(check int)
-        (msg ^ ": sleep_skips")
-        si.Explore.sleep_skips sc.Explore.sleep_skips;
-      Alcotest.(check int) (msg ^ ": max_events") si.Explore.max_events
-        sc.Explore.max_events;
-      Alcotest.(check (array int))
-        (msg ^ ": max_accesses")
-        si.Explore.max_accesses sc.Explore.max_accesses;
-      Alcotest.(check (list value)) (msg ^ ": observations") li lc)
+(* [Explore.fast] reaches the tree through three code paths, chosen by the
+   run's inputs: the compiled kernel (one domain, no checkpoint, no fault
+   branching), the interpreter (any fault adversary), and frontier mode (a
+   checkpoint sink armed, or a domain pool). Whatever the path, the set of
+   timing-insensitive outcomes and the consensus verdict must be exactly
+   those of the naive [Exec.explore] — counts of nodes and leaves
+   legitimately differ and are not compared. *)
+
+type path = Direct | Checkpointed | Pool
+
+let paths = [ ("direct", Direct); ("checkpointed", Checkpointed); ("pool", Pool) ]
+
+let with_path path k =
+  match path with
+  | Direct -> k ~options:Explore.fast ~checkpoint:None
+  | Checkpointed ->
+    let file = Filename.temp_file "wfc_flat_oracle" ".ck" in
+    Fun.protect
+      ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+      (fun () -> k ~options:Explore.fast ~checkpoint:(Some (file, 3600.)))
+  | Pool -> k ~options:{ Explore.fast with domains = 2 } ~checkpoint:None
+
+(* Symmetry reduction keeps one schedule per orbit of pid permutations
+   within a class of interchangeable processes, so outcomes are compared
+   modulo those permutations: per-process records (class representative,
+   local state, completed operations without the pid) are sorted. Without
+   symmetry every process is its own class and the projection is pid-exact. *)
+let outcome ~classes (leaf : Exec.leaf) =
+  let record p =
+    let ops =
+      List.filter (fun (o : Exec.op) -> o.proc = p) leaf.ops
+      |> List.sort (fun (a : Exec.op) (b : Exec.op) ->
+             compare a.op_index b.op_index)
+      |> List.map (fun (o : Exec.op) ->
+             Value.list [ Value.int o.op_index; o.inv; o.resp; Value.int o.steps ])
+    in
+    Value.list [ Value.int classes.(p); leaf.locals.(p); Value.list ops ]
+  in
+  Value.list
     [
-      ("fast", { Explore.fast with symmetry = false });
-      ("fast+symmetry", Explore.fast);
-      ( "por-only",
-        { Explore.naive with por = true; intern = true; flat = true;
-          compile = true } );
-      ( "plain",
-        { Explore.naive with intern = true; flat = true; compile = true } );
+      Value.list (Array.to_list leaf.objects);
+      Value.list
+        (List.sort Value.compare
+           (List.init (Array.length leaf.locals) record));
+      Value.int leaf.events;
+      Value.list (List.map Value.int (Array.to_list leaf.accesses));
     ]
 
-let test_compile_parity_fixed () =
-  let impl = rw_impl ~procs:3 ~bits:2 ~coin:false in
-  assert_compiled_interp_parity ~msg:"fixed" impl
-    [| [ wr 0 true; rd 1 ]; [ cp 0 1 ]; [ rd 0; wr 1 false ] |]
+let classes_of impl workloads =
+  match Explore.Symmetry.of_impl impl ~workloads with
+  | Some g -> Explore.Symmetry.classes g
+  | None -> Array.init (Array.length workloads) Fun.id
 
-let prop_compile_parity =
+let assert_outcomes_match_oracle ~msg ?faults impl workloads =
+  let classes = classes_of impl workloads in
+  let oracle = ref [] in
+  let exec =
+    Exec.explore impl ~workloads ?faults
+      ~on_leaf:(fun l -> oracle := outcome ~classes l :: !oracle)
+      ()
+  in
+  let oracle = List.sort_uniq Value.compare !oracle in
+  List.iter
+    (fun (name, path) ->
+      let got = ref [] in
+      let stats =
+        with_path path (fun ~options ~checkpoint ->
+            Explore.run impl ~workloads ?faults ~options ?checkpoint
+              ~dedup_threshold:0 ~par_threshold:0
+              ~on_leaf:(fun l -> got := outcome ~classes l :: !got)
+              ())
+      in
+      let msg = msg ^ "/" ^ name in
+      Alcotest.(check (list value))
+        (msg ^ ": outcome set")
+        oracle
+        (List.sort_uniq Value.compare !got);
+      Alcotest.(check bool)
+        (msg ^ ": overflow detection")
+        (exec.Exec.overflows > 0)
+        (stats.Explore.overflows > 0))
+    paths
+
+let adversaries impl =
+  [
+    ("no faults", None);
+    ( "crash+recovery",
+      Some
+        {
+          Faults.max_crashes = 1;
+          max_recoveries = 1;
+          max_glitches = 0;
+          degraded = [];
+        } );
+    ("stale", Some (Faults.degrade_all impl ~glitches:1 (`Stale 1)));
+    ("safe", Some (Faults.degrade_all impl ~glitches:1 `Safe));
+  ]
+
+let test_oracle_fixed () =
+  List.iter
+    (fun (name, impl, workloads) ->
+      List.iter
+        (fun (adv, faults) ->
+          assert_outcomes_match_oracle ~msg:(name ^ "/" ^ adv) ?faults impl
+            workloads)
+        (adversaries impl))
+    [
+      ( "rw3",
+        rw_impl ~procs:3 ~bits:2 ~coin:false,
+        [| [ wr 0 true; rd 1 ]; [ cp 0 1 ]; [ rd 0 ] |] );
+      ( "rw2",
+        rw_impl ~procs:2 ~bits:2 ~coin:false,
+        [| [ wr 0 true; rd 1 ]; [ cp 0 1; rd 0 ] |] );
+      ( "coin",
+        rw_impl ~procs:2 ~bits:1 ~coin:true,
+        [| [ Value.sym "flip"; rd 0 ]; [ wr 0 true ] |] );
+      ( "cas3-equal",
+        Protocols.from_cas ~procs:3 (),
+        Array.make 3 [ Ops.propose Value.truth ] );
+      ( "cas3-mixed",
+        Protocols.from_cas ~procs:3 (),
+        [|
+          [ Ops.propose Value.truth ];
+          [ Ops.propose Value.falsity ];
+          [ Ops.propose Value.truth ];
+        |] );
+    ]
+
+let prop_oracle =
   QCheck.Test.make ~count:40
-    ~name:"compiled and interpreted engines agree exactly on random workloads"
-    (QCheck.make gen_workloads ~print:(fun (procs, bits, coin, wls) ->
-         Fmt.str "procs=%d bits=%d coin=%b workloads=%a" procs bits coin
+    ~name:"random workloads and adversaries match Exec.explore"
+    (QCheck.make
+       QCheck.Gen.(pair gen_workloads (int_bound 3))
+       ~print:(fun ((procs, bits, coin, wls), adv) ->
+         Fmt.str "procs=%d bits=%d coin=%b adversary=%d workloads=%a" procs
+           bits coin adv
            Fmt.(array (list Value.pp))
            wls))
-    (fun (procs, bits, coin, wls) ->
+    (fun ((procs, bits, coin, wls), adv) ->
       let impl = rw_impl ~procs ~bits ~coin in
-      assert_compiled_interp_parity ~msg:"qcheck" impl wls;
+      let name, faults = List.nth (adversaries impl) adv in
+      assert_outcomes_match_oracle ~msg:("qcheck/" ^ name) ?faults impl wls;
       true)
 
-(* --- downstream verdict parity --------------------------------------------- *)
-
-let flat_engine = Explore.fast
-let boxed_engine = { Explore.fast with Explore.flat = false }
+(* The consensus verdict the naive engine implies: every vector's every
+   leaf passes [Check.check_leaf] and no path exhausts its fuel. *)
+let oracle_verdict ?faults impl =
+  let bad (v : Check.vector) =
+    let found = ref false in
+    let stats =
+      Exec.explore impl ~workloads:v.Check.workloads ?faults
+        ~on_leaf:(fun leaf ->
+          if Result.is_error (Check.check_leaf ~inputs:v.Check.inputs leaf)
+          then found := true)
+        ()
+    in
+    !found || stats.Exec.overflows > 0
+  in
+  if List.exists bad (Check.vectors impl) then "falsified" else "verified"
 
 let test_verdict_parity () =
   List.iter
-    (fun (name, impl, faults) ->
-      let verify engine =
-        Check.verify ~engine ?faults ~subsets:false (impl ())
-      in
-      match (verify flat_engine, verify boxed_engine) with
-      | Check.Verified a, Check.Verified b ->
-        Alcotest.(check int)
-          (name ^ ": executions")
-          b.Check.executions a.Check.executions
-      | Check.Falsified vf, Check.Falsified _ -> (
-        (* a flat-engine violation must replay: its witness is real *)
-        match vf.Check.witness with
-        | None -> ()
-        | Some w -> (
-          match Witness.replay (impl ()) w with
-          | Ok _ -> ()
-          | Error e ->
-            Alcotest.failf "%s: flat witness does not replay: %s" name e))
-      | vf, vb ->
-        Alcotest.failf "%s: verdicts disagree: flat %a, boxed %a" name
-          Check.pp_verdict vf Check.pp_verdict vb)
+    (fun (name, impl) ->
+      List.iter
+        (fun (adv, faults) ->
+          let expected = oracle_verdict ?faults (impl ()) in
+          List.iter
+            (fun (pname, path) ->
+              let msg = Fmt.str "%s/%s/%s" name adv pname in
+              let verdict =
+                with_path path (fun ~options ~checkpoint ->
+                    Check.verify ~engine:options ?faults ?checkpoint
+                      ~par_threshold:0 (impl ()))
+              in
+              match verdict with
+              | Check.Verified _ ->
+                Alcotest.(check string) msg expected "verified"
+              | Check.Falsified v -> (
+                Alcotest.(check string) msg expected "falsified";
+                (* a reported violation must replay: its witness is real *)
+                match v.Check.witness with
+                | None -> ()
+                | Some w -> (
+                  match Witness.replay (impl ()) w with
+                  | Ok _ -> ()
+                  | Error e ->
+                    Alcotest.failf "%s: witness does not replay: %s" msg e))
+              | Check.Unknown _ ->
+                Alcotest.failf "%s: unbounded run returned Unknown" msg)
+            paths)
+        (adversaries (impl ())))
     [
-      ("cas3", (fun () -> Protocols.from_cas ~procs:3 ()), None);
-      ( "cas2+crash",
-        (fun () -> Protocols.from_cas ~procs:2 ()),
-        Some (Faults.crashes 1) );
-      ("broken", Protocols.broken_register_only, None);
-    ]
-
-let test_verdict_parity_no_compile () =
-  List.iter
-    (fun (name, impl, expected) ->
-      let verdict engine =
-        match Check.verify ~engine ~subsets:false (impl ()) with
-        | Check.Verified _ -> "verified"
-        | Check.Falsified _ -> "falsified"
-        | Check.Unknown _ -> "unknown"
-      in
-      let on = verdict Explore.fast in
-      let off = verdict { Explore.fast with Explore.compile = false } in
-      Alcotest.(check string) (name ^ ": compile on") expected on;
-      Alcotest.(check string) (name ^ ": compile off") expected off)
-    [
-      ("cas3", (fun () -> Protocols.from_cas ~procs:3 ()), "verified");
-      ("sticky3", (fun () -> Protocols.from_sticky ~procs:3 ()), "verified");
-      ("broken", Protocols.broken_register_only, "falsified");
+      ("cas2", fun () -> Protocols.from_cas ~procs:2 ());
+      ("sticky2", fun () -> Protocols.from_sticky ~procs:2 ());
+      ("broken", Protocols.broken_register_only);
     ]
 
 (* --- Bloom tier soundness --------------------------------------------------- *)
@@ -384,7 +411,7 @@ let test_bloom_only_prunes () =
 let test_bloom_tier_verdicts () =
   (* a clean protocol on the Bloom tier must never claim Verified *)
   (match
-     Check.verify ~engine:flat_engine ~mem_budget_mb:0 ~subsets:false
+     Check.verify ~engine:Explore.fast ~mem_budget_mb:0 ~subsets:false
        (Protocols.from_cas ~procs:3 ())
    with
   | Check.Unknown { reason; _ } ->
@@ -397,7 +424,7 @@ let test_bloom_tier_verdicts () =
   (* a broken protocol must stay Falsified — FPs cannot invent a verdict,
      and at the default filter size they prune essentially nothing *)
   match
-    Check.verify ~engine:flat_engine ~mem_budget_mb:0 ~subsets:false
+    Check.verify ~engine:Explore.fast ~mem_budget_mb:0 ~subsets:false
       (Protocols.broken_register_only ())
   with
   | Check.Falsified v -> (
@@ -490,27 +517,20 @@ let test_hash_sensitivity () =
 let () =
   Alcotest.run "wfc_flat"
     [
-      ( "flat/boxed parity",
-        [
-          Alcotest.test_case "fixed workloads" `Quick test_parity_fixed;
-          Alcotest.test_case "under a fault adversary" `Quick
-            test_parity_faults;
-          QCheck_alcotest.to_alcotest prop_parity;
-        ] );
       ( "compiled step tables",
         [
           Alcotest.test_case "agree with Type_spec across the zoo" `Quick
             test_step_table_agrees_with_zoo;
-          Alcotest.test_case "compiled kernel parity (fixed)" `Quick
-            test_compile_parity_fixed;
-          QCheck_alcotest.to_alcotest prop_compile_parity;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "fixed workloads under every adversary" `Quick
+            test_oracle_fixed;
+          QCheck_alcotest.to_alcotest prop_oracle;
         ] );
       ( "verdict parity",
-        [
-          Alcotest.test_case "Check.verify agrees" `Quick test_verdict_parity;
-          Alcotest.test_case "Check.verify agrees with compile off" `Quick
-            test_verdict_parity_no_compile;
-        ] );
+        [ Alcotest.test_case "Check.verify agrees" `Quick test_verdict_parity ]
+      );
       ( "bloom tier",
         [
           Alcotest.test_case "only prunes, downgrades completeness" `Quick

@@ -24,9 +24,7 @@ let engine =
     Checkpoint.dedup = true;
     por = true;
     domains = 1;
-    intern = true;
     symmetry = false;
-    flat = false;
   }
 
 let sample_faults =

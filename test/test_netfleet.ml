@@ -379,9 +379,7 @@ let test_queue_resume_passes_checkpoint () =
       Checkpoint.dedup = true;
       por = true;
       domains = 1;
-      intern = true;
       symmetry = false;
-      flat = false;
     }
   in
   let faults =

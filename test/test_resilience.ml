@@ -84,9 +84,7 @@ let sample_checkpoint () =
         Checkpoint.dedup = true;
         por = false;
         domains = 2;
-        intern = true;
         symmetry = false;
-        flat = true;
       }
     ~fuel:10_000 ~budget_left:1234 ~faults
     ~workloads:
@@ -174,15 +172,14 @@ let test_checkpoint_mismatch_detected () =
   in
   Alcotest.(check bool) "adversary mismatch reported" true (wrong_faults <> None)
 
-(* The legacy wfc-checkpoint/1 format (MD5 digest, no flat/spilled/
-   probabilistic fields) must still parse, with the new fields at their
-   defaults — and re-serialize as /2. *)
+(* The legacy wfc-checkpoint/1 format (MD5 digest, no spilled/probabilistic
+   fields, an [intern=] engine key) must still parse, with the new fields at
+   their defaults — and re-serialize as /2. *)
 let test_checkpoint_v1_still_parses () =
   let ck = sample_checkpoint () in
   let ck =
     {
       ck with
-      Checkpoint.engine = { ck.Checkpoint.engine with Checkpoint.flat = false };
       counts =
         { ck.Checkpoint.counts with Checkpoint.spilled = 0;
           probabilistic = false };
@@ -212,8 +209,8 @@ let test_checkpoint_v1_still_parses () =
   (match Checkpoint.of_string v1 with
   | Error e -> Alcotest.failf "v1 checkpoint refused: %s" e
   | Ok ck' ->
-    Alcotest.(check bool) "flat defaults to false" false
-      ck'.Checkpoint.engine.Checkpoint.flat;
+    Alcotest.(check bool) "engine parsed" true
+      (ck'.Checkpoint.engine = ck.Checkpoint.engine);
     Alcotest.(check int) "spilled defaults to 0" 0
       ck'.Checkpoint.counts.Checkpoint.spilled;
     Alcotest.(check bool) "probabilistic defaults to false" false
@@ -240,9 +237,7 @@ let test_checkpoint_meta_validation () =
           Checkpoint.dedup = false;
           por = false;
           domains = 1;
-          intern = false;
           symmetry = false;
-          flat = false;
         }
       ~fuel:1 ~faults:Faults.none ~workloads:[| [] |]
       ~counts:(Checkpoint.zero_counts ~n_objs:0)
@@ -524,21 +519,7 @@ let test_mem_watchdog_evicts_and_finishes () =
      space this small (2^23-bit filter) there are effectively none *)
   Alcotest.(check int) "Bloom tier loses no coverage here"
     deduped.Explore.leaves stats.Explore.leaves;
-  (* boxed path: tables are dropped and the run degrades to undeduped but
-     stays exhaustive *)
-  let boxed =
-    Explore.run impl ~workloads:workloads3
-      ~options:{ Explore.fast with flat = false } ~mem_budget_mb:1 ()
-  in
-  ignore (Sys.opaque_identity ballast.(0));
-  (match completeness_of boxed with
-  | Explore.Exhaustive -> ()
-  | Explore.Partial _ -> Alcotest.fail "boxed eviction must not cut the run");
-  Alcotest.(check bool) "boxed path evicted under pressure" true
-    (boxed.Explore.evictions >= 1);
-  (* undeduped fallback explores at least as much as the deduped engine *)
-  Alcotest.(check bool) "fallback loses no coverage" true
-    (boxed.Explore.leaves >= deduped.Explore.leaves)
+  ignore (Sys.opaque_identity ballast.(0))
 
 (* --- Check-level: verdict parity across interruption ----------------------- *)
 
@@ -608,6 +589,65 @@ let test_verify_interrupt_resume_parity () =
   | v -> Alcotest.failf "expected Verified after resume, got %a" Check.pp_verdict v);
   Alcotest.(check bool) "checkpoint removed" false (Sys.file_exists path)
 
+(* A wfc-checkpoint/2 file written while the engine still had a choice of
+   dedup representations carries [intern=]/[flat=] engine keys. They never
+   changed the explored tree, so such a file — even one taken with both
+   off — must resume to the one-shot verdict. *)
+let test_verify_legacy_engine_keys_resume () =
+  let impl = cas3 () in
+  let reference = reference_verdict impl in
+  let path = temp_ck () in
+  (match
+     Check.verify ~engine:Explore.fast ~budget:500 ~checkpoint:(path, 3600.)
+       impl
+   with
+  | Check.Unknown _ -> ()
+  | v -> Alcotest.failf "expected a budget cut, got %a" Check.pp_verdict v);
+  let written =
+    match Checkpoint.load path with
+    | Ok ck -> Checkpoint.to_string ck
+    | Error e -> Alcotest.failf "checkpoint load failed: %s" e
+  in
+  let body =
+    match String.split_on_char '\n' written with
+    | _header :: _digest :: rest ->
+      rest
+      |> List.map (fun l ->
+             if String.length l >= 7 && String.sub l 0 7 = "engine " then
+               "engine dedup=1 por=1 domains=1 intern=0 symmetry=1 flat=0"
+             else l)
+      |> String.concat "\n"
+    | _ -> Alcotest.fail "unexpected checkpoint serialization"
+  in
+  let legacy =
+    Fmt.str "wfc-checkpoint/2\ndigest %016x\n%s"
+      (Fingerprint.hash_string body) body
+  in
+  let ck =
+    match Checkpoint.of_string legacy with
+    | Ok ck -> ck
+    | Error e -> Alcotest.failf "legacy engine keys refused: %s" e
+  in
+  let rec go resume rounds =
+    if rounds > 300 then Alcotest.fail "resume loop did not converge";
+    match
+      Check.verify ~engine:Explore.fast ~budget:500 ~checkpoint:(path, 3600.)
+        ~resume impl
+    with
+    | Check.Unknown _ -> (
+      match Checkpoint.load path with
+      | Ok ck -> go ck (rounds + 1)
+      | Error e -> Alcotest.failf "checkpoint load failed: %s" e)
+    | v -> v
+  in
+  match go ck 0 with
+  | Check.Verified r ->
+    Alcotest.(check int) "vector parity" reference.Check.vectors
+      r.Check.vectors;
+    Alcotest.(check int) "max_events parity" reference.Check.max_events
+      r.Check.max_events
+  | v -> Alcotest.failf "expected Verified after resume, got %a" Check.pp_verdict v
+
 let test_verify_falsified_unaffected_by_checkpointing () =
   (* a protocol with a real violation must still be falsified identically
      when checkpointing is armed *)
@@ -674,5 +714,7 @@ let () =
             test_verify_interrupt_resume_parity;
           Alcotest.test_case "falsified with checkpointing" `Quick
             test_verify_falsified_unaffected_by_checkpointing;
+          Alcotest.test_case "legacy intern/flat keys resume" `Quick
+            test_verify_legacy_engine_keys_resume;
         ] );
     ]
