@@ -415,7 +415,6 @@ let engine_variants () =
     ("dedup", { Explore.naive with Explore.dedup = true });
     ("por", { Explore.naive with Explore.por = true });
     ("fast", Explore.fast);
-    ("fast-par", Explore.parallel ());
   ]
 
 (* Warm, repeat-averaged timing: one warmup run, then repeat until 20 ms of
@@ -495,11 +494,7 @@ let baseline_e10_fast key path =
          let l = input_line ic in
          if contains l {|"name"|} then
            in_e10 := contains l {|"E10-universal-faa"|};
-         if
-           !in_e10
-           && contains l {|"engine": "fast"|}
-           && not (contains l {|"fast-par"|})
-         then
+         if !in_e10 && contains l {|"engine": "fast"|} then
            match float_field l key with
            | Some v -> result := Some v
            | None -> ()
@@ -574,8 +569,8 @@ let explore_engine_report ~check () =
                 s.Explore.sleep_skips (wall *. 1e3) nps mwpn node_speedup
                 wall_speedup;
               Fmt.str
-                {|        {"engine": %S, "domains": %d, "nodes": %d, "leaves": %d, "pruned": %d, "sleep_skips": %d, "max_events": %d, "wall_s": %.6f, "nodes_per_sec": %.0f, "minor_words_per_node": %.1f}|}
-                ename s.Explore.domains_used s.Explore.nodes s.Explore.leaves
+                {|        {"engine": %S, "nodes": %d, "leaves": %d, "pruned": %d, "sleep_skips": %d, "max_events": %d, "wall_s": %.6f, "nodes_per_sec": %.0f, "minor_words_per_node": %.1f}|}
+                ename s.Explore.nodes s.Explore.leaves
                 s.Explore.pruned s.Explore.sleep_skips s.Explore.max_events
                 wall nps mwpn)
             (engine_variants ())
@@ -688,7 +683,7 @@ let fault_injection_report () =
                  comparison on the engine callers actually use *)
               let s =
                 Explore.run impl ~workloads ~faults
-                  ~options:{ Explore.fast with Explore.domains = 1 }
+                  ~options:Explore.fast
                   ()
               in
               let wall = Unix.gettimeofday () -. t0 in

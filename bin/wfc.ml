@@ -794,9 +794,9 @@ let checkpoint_cmd =
       | None -> ());
       Fmt.pr "  processes     %d@."
         (Array.length ck.Wfc_sim.Checkpoint.workloads);
-      Fmt.pr "  engine        dedup=%b por=%b domains=%d symmetry=%b@."
+      Fmt.pr "  engine        dedup=%b por=%b symmetry=%b@."
         e.Wfc_sim.Checkpoint.dedup e.Wfc_sim.Checkpoint.por
-        e.Wfc_sim.Checkpoint.domains e.Wfc_sim.Checkpoint.symmetry;
+        e.Wfc_sim.Checkpoint.symmetry;
       Fmt.pr "  fuel          %d@." ck.Wfc_sim.Checkpoint.fuel;
       (match ck.Wfc_sim.Checkpoint.budget_left with
       | Some b -> Fmt.pr "  budget left   %d nodes@." b

@@ -41,8 +41,9 @@ type report = {
   max_events : int;  (** longest execution *)
   max_op_steps : int;  (** most base accesses by one propose *)
   degraded : int;
-      (** supervised-pool degradation events absorbed (worker crashes and
-          stall requeues, see {!Wfc_sim.Explore.stats}) *)
+      (** degradation events a fleet run absorbed (worker lease misses, see
+          [Wfc_fleet.Coordinator]), carried across checkpoints in the
+          [check.degraded] meta entry; a single-process run adds none *)
   evictions : int;
       (** dedup tables demoted to the Bloom tier by the memory watchdog *)
 }
@@ -64,7 +65,6 @@ val verify :
   ?deadline_s:float ->
   ?shrink:bool ->
   ?engine:Wfc_sim.Explore.options ->
-  ?par_threshold:int ->
   ?checkpoint:string * float ->
   ?resume:Wfc_sim.Checkpoint.t ->
   ?mem_budget_mb:int ->
@@ -83,9 +83,6 @@ val verify :
     same verdict), or clear individual fields — [wfc verify --no-symmetry]
     does exactly that.
     [report.executions] counts the executions the engine actually visited.
-    [par_threshold] governs the lazy domain pool exactly as in
-    {!Wfc_sim.Explore.run} — with [engine.domains > 1], small per-vector
-    trees are still drained sequentially below it.
 
     [subsets] (default true) also checks partial participation; [repeat]
     (default true) has each participant propose a second, {e different}
@@ -157,7 +154,6 @@ val verify_values :
   ?deadline_s:float ->
   ?shrink:bool ->
   ?engine:Wfc_sim.Explore.options ->
-  ?par_threshold:int ->
   ?checkpoint:string * float ->
   ?resume:Wfc_sim.Checkpoint.t ->
   ?mem_budget_mb:int ->

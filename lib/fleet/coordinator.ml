@@ -284,8 +284,7 @@ let serve ?subsets ?repeat ?domain ?(max_crashes = 0) ?faults ?fuel ?budget
   in
   let report () =
     (* mirror of Check.report: lease misses are degradation events the run
-       absorbed, surfaced exactly like the in-process pool's (re-attaches
-       are non-events and stay out of [degraded]) *)
+       absorbed (re-attaches are non-events and stay out of [degraded]) *)
     let done_n = Array.fold_left (fun n vs -> if vs.outstanding = 0 then n + 1 else n) 0 vstates in
     let progressing =
       Array.exists (fun vs -> vs.outstanding > 0 && vs.counts.Checkpoint.leaves > 0) vstates

@@ -3,8 +3,9 @@
     [wfc serve --workers n] and the chaos tests need real separate
     processes — a worker that [Unix._exit]s mid-shard or wedges for an hour
     must not take the coordinator with it. Fork the pool {e before} the
-    coordinator binds its socket (and before any [Domain.spawn]); children
-    connect with {!Backoff} retries, so the ordering race is harmless. *)
+    coordinator binds its socket (and before the process starts a second
+    domain: OCaml 5 refuses to fork once one is running); children connect
+    with {!Backoff} retries, so the ordering race is harmless. *)
 
 val spawn :
   ?chaos:(int -> Chaos.plan) ->

@@ -54,7 +54,7 @@ let counts_of_stats ~probabilistic (s : Explore.stats) =
     overflows = s.Explore.overflows;
     pruned = s.Explore.pruned;
     sleep_skips = s.Explore.sleep_skips;
-    degraded = s.Explore.degraded;
+    degraded = 0;
     evictions = s.Explore.evictions;
     spilled = s.Explore.spilled;
     probabilistic;

@@ -23,8 +23,7 @@
       reads operation timestamps — it observes only completion order and
       pending sets, which sleep-set POR preserves and which duplicate-state
       pruning keys on (via the tracker fingerprint) — so it runs on the
-      {e fast} exploration engine the rest of the library uses, with the
-      multicore fan-out available on top. *)
+      {e fast} exploration engine the rest of the library uses. *)
 
 open Wfc_spec
 
@@ -122,8 +121,6 @@ val verify :
   ?faults:Wfc_sim.Faults.t ->
   ?mode:mode ->
   ?component:Type_spec.t * Value.t ->
-  ?domains:int ->
-  ?par_threshold:int ->
   unit ->
   (run_stats, violation) result
 (** Explore every interleaving of the workloads (optionally under a fault
@@ -140,8 +137,8 @@ val verify :
     targets).
 
     Also fails on fuel overflow (suspected non-wait-freedom), with the
-    overflowing path as witness. [domains] (default 1) fans the exploration
-    out; [par_threshold] as in {!Wfc_sim.Explore.run}. *)
+    overflowing path as witness. The incremental modes' memo table lives
+    only for the call, so repeated calls do not accumulate memory. *)
 
 val indexed : int -> Type_spec.t -> Type_spec.t
 (** [indexed n spec]: the product of [n] independent instances of [spec] —

@@ -2,7 +2,7 @@ open Wfc_spec
 
 (* Mirror of Explore.options — Checkpoint sits below Explore (Witness depends
    on Explore, Explore depends on Checkpoint), so it cannot name that type. *)
-type engine = { dedup : bool; por : bool; domains : int; symmetry : bool }
+type engine = { dedup : bool; por : bool; symmetry : bool }
 
 type counts = {
   leaves : int;
@@ -93,10 +93,10 @@ let make ?(meta = []) ~engine ~fuel ?budget_left ~faults ~workloads ~counts
    spilled/probabilistic fields; wfc-checkpoint/2 digests the body with
    [Fingerprint.hash_string] (16 hex chars) and adds those fields. [save]
    always writes v2; [of_string] still parses v1 (new fields default to
-   zero). Engine lines written before the dedup representation was fixed
-   also carry [intern=] and [flat=] keys: they selected how duplicate
-   states were keyed, never which tree was explored, so the parser ignores
-   them and such files resume like any other. *)
+   zero). Older engine lines also carry [domains=] (the size of a removed
+   in-process exploration pool) and [intern=]/[flat=] keys (how duplicate
+   states were keyed). None of them chose which tree was explored, so the
+   parser ignores them and such files resume like any other. *)
 
 let header = "wfc-checkpoint/2"
 let header_v1 = "wfc-checkpoint/1"
@@ -105,8 +105,8 @@ let body_lines t =
   let b = Buffer.create 512 in
   let line fmt = Fmt.kstr (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   List.iter (fun (k, v) -> line "meta %s %s" k v) t.meta;
-  line "engine dedup=%d por=%d domains=%d symmetry=%d"
-    (Bool.to_int t.engine.dedup) (Bool.to_int t.engine.por) t.engine.domains
+  line "engine dedup=%d por=%d symmetry=%d"
+    (Bool.to_int t.engine.dedup) (Bool.to_int t.engine.por)
     (Bool.to_int t.engine.symmetry);
   line "fuel %d" t.fuel;
   (match t.budget_left with Some n -> line "budget %d" n | None -> ());
@@ -232,18 +232,12 @@ let of_string s =
       | None -> Error (Fmt.str "bad meta line %S" l))
     | "engine" ->
       let* fields =
-        parse_kv_ints body [ "dedup"; "por"; "domains"; "symmetry" ]
+        parse_kv_ints body [ "dedup"; "por"; "symmetry" ]
       in
       (match fields with
-      | [ dedup; por; domains; symmetry ] ->
+      | [ dedup; por; symmetry ] ->
         engine :=
-          Some
-            {
-              dedup = dedup <> 0;
-              por = por <> 0;
-              domains;
-              symmetry = symmetry <> 0;
-            }
+          Some { dedup = dedup <> 0; por = por <> 0; symmetry = symmetry <> 0 }
       | _ -> assert false);
       Ok ()
     | "fuel" -> (
@@ -429,8 +423,7 @@ let load path =
 (* --- resume validation ------------------------------------------------------- *)
 
 let engine_equal a b =
-  a.dedup = b.dedup && a.por = b.por && a.domains = b.domains
-  && a.symmetry = b.symmetry
+  a.dedup = b.dedup && a.por = b.por && a.symmetry = b.symmetry
 
 let workloads_equal a b =
   Array.length a = Array.length b

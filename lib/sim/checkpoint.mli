@@ -20,11 +20,12 @@
 
 open Wfc_spec
 
-type engine = { dedup : bool; por : bool; domains : int; symmetry : bool }
+type engine = { dedup : bool; por : bool; symmetry : bool }
 (** Mirror of [Explore.options] (this module sits below [Explore] in the
     dependency order, so it cannot name that type). Engine lines of older
-    files may also carry [intern=] and [flat=] keys; the parser ignores
-    them — they chose a dedup representation, never the explored tree. *)
+    files may also carry [domains=], [intern=] and [flat=] keys; the parser
+    ignores them — they sized a removed exploration pool or chose a dedup
+    representation, never the explored tree. *)
 
 type counts = {
   leaves : int;

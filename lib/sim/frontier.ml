@@ -7,9 +7,10 @@
    plus a prefix replay, both of which the checkpoint/resume machinery
    already exercises. The in-RAM handle is just ⟨offset, length⟩.
 
-   One spill file per run, written by the coordinating domain during
-   frontier expansion and read (rarely — once per spilled item) by whichever
-   domain takes the item; a mutex serializes the seek+read pairs. The file
+   One spill file per run, written during frontier expansion and read
+   (rarely — once per spilled item) when the item is taken; a mutex
+   serializes the seek+read pairs, so a handle may be shared across
+   domains. The file
    lives in the temp directory and is removed on [close] (and best-effort
    on [Gc] finalization if the run aborts without closing). *)
 

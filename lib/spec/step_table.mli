@@ -43,7 +43,7 @@ type t
 
 val create : ?ist:I.state -> Type_spec.t -> t
 (** A fresh table with no compiled rows. Pass [ist] to share an intern state
-    with the caller (e.g. the exploration engine's per-domain state) so the
+    with the caller (e.g. the compiled kernel's per-domain state) so the
     canonical representatives are canonical for the caller too; otherwise a
     private state is created. *)
 

@@ -201,11 +201,10 @@ module Set = Set.Make (Ord)
    total order that is cheap to sort on.
 
    States are deliberately NOT global: the exploration engine creates one
-   state per domain, living exactly as long as the per-domain dedup/memo
-   table keyed on its cells. No mutable state is shared across domains, so
-   the scheme is safe under multicore fan-out without any locking; the cost
-   is only that domains re-intern values the other domains already saw,
-   which is the same trade the per-domain dedup tables already make. *)
+   state per run (and the compiled kernel one per domain), living exactly
+   as long as the dedup/memo table keyed on its cells. No mutable state is
+   shared across domains, so explorations may run on several domains at
+   once without any locking. *)
 module Intern = struct
   let structural_hash = hash
 

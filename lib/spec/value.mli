@@ -77,12 +77,12 @@ module Set : Set.S with type elt = t
     over the whole configuration tree.
 
     States are not global and not thread-safe by design: create one per
-    domain and key only that domain's tables on its cells. The exploration
-    engine pairs each per-domain dedup table with its own state, so the
-    multicore fan-out shares no mutable interning structure at all — that is
-    the whole safety argument, no locks required. Never mix cells from
-    different states: physical equality and ids are meaningful only within
-    the state that allocated them. *)
+    domain (or per run) and key only that owner's tables on its cells. The
+    exploration engine pairs each dedup table with its own state, so
+    explorations on different domains share no mutable interning structure
+    at all — that is the whole safety argument, no locks required. Never
+    mix cells from different states: physical equality and ids are
+    meaningful only within the state that allocated them. *)
 module Intern : sig
   type state
   (** An intern table plus an id counter. Owned by a single domain. *)

@@ -376,35 +376,34 @@ let prop_fused_matches_per_leaf =
       in
       all_equal (verdicts impl ~workloads ~faults))
 
-(* --- adaptive parallelism --------------------------------------------------- *)
+(* --- memory ------------------------------------------------------------------ *)
 
-let test_par_threshold () =
-  let impl = Implementation.identity (Register.bit ~ports:2) ~procs:2 in
-  (* deep enough that the BFS frontier expansion (8 levels) does not already
-     exhaust the tree, so pool startup is really the threshold's call *)
+(* The incremental memo table belongs to one [verify] call: back-to-back
+   runs on one implementation must leave live memory flat once the first
+   run has warmed the per-implementation compilation caches. *)
+let test_memo_freed_between_runs () =
+  let impl = bit_from_two_bits ~procs:2 in
   let workloads =
     [|
-      [ Ops.write Value.truth; Ops.read; Ops.write Value.falsity ];
-      [ Ops.read; Ops.write Value.truth; Ops.read ];
+      [ Ops.write Value.truth; Ops.read ]; [ Ops.read; Ops.write Value.falsity ];
     |]
   in
-  (* [dedup_threshold:0] pins dedup activation to the root in both runs:
-     with the lazy default the sequential drain and the per-worker tables
-     would activate at different points and visit different leaf counts. *)
-  let run ?par_threshold () =
-    Explore.run impl ~workloads
-      ~options:(Explore.parallel ~domains:2 ())
-      ?par_threshold ~dedup_threshold:0 ()
+  let live_after_run () =
+    (match Engine.verify impl ~workloads () with
+    | Ok _ -> ()
+    | Error v -> Alcotest.failf "unexpected violation: %a" Engine.pp_violation v);
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
   in
-  (* tiny tree, default threshold: the pool must NOT spin up *)
-  let seq = run () in
-  Alcotest.(check int) "stays sequential below threshold" 1
-    seq.Explore.domains_used;
-  (* threshold 0 forces the pool; same leaves either way *)
-  let par = run ~par_threshold:0 () in
-  Alcotest.(check bool) "pool used at threshold 0" true
-    (par.Explore.domains_used > 1);
-  Alcotest.(check int) "same leaves" seq.Explore.leaves par.Explore.leaves
+  ignore (live_after_run ());
+  let second = live_after_run () in
+  let sixth = ref second in
+  for _ = 3 to 6 do
+    sixth := live_after_run ()
+  done;
+  Alcotest.(check bool)
+    (Fmt.str "live words: %d after the 2nd run, %d after the 6th" second !sixth)
+    true (!sixth <= second)
 
 let () =
   Alcotest.run "wfc_engine"
@@ -436,7 +435,11 @@ let () =
             test_torn_write_all_modes;
           Alcotest.test_case "crash adversary, all modes" `Quick
             test_crash_adversary_all_modes;
-          Alcotest.test_case "par threshold" `Quick test_par_threshold;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "memo freed between runs" `Quick
+            test_memo_freed_between_runs;
         ] );
       ( "properties",
         [

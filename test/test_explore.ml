@@ -3,13 +3,14 @@
    verdict/observation equivalence under duplicate-state pruning and
    partial-order reduction (including a qcheck property over randomized
    implementations and workloads), node-count regression under pruning, and
-   the multicore fan-out. *)
+   early stop and error propagation on every engine path. *)
 
 open Wfc_spec
 open Wfc_zoo
 open Wfc_program
 module Exec = Wfc_sim.Exec
 module Explore = Wfc_sim.Explore
+module Faults = Wfc_sim.Faults
 
 let value = Alcotest.testable Value.pp Value.equal
 
@@ -46,7 +47,7 @@ let value_proj (leaf : Exec.leaf) =
     ]
 
 (* The full observation, timestamps and completion order included — only the
-   exhaustive modes (naive, naive + domains) must preserve this. *)
+   exhaustive naive mode must preserve this. *)
 let full_proj (leaf : Exec.leaf) =
   Value.list
     [
@@ -59,15 +60,14 @@ let full_proj (leaf : Exec.leaf) =
            leaf.ops);
     ]
 
-(* [par_threshold:0] forces the domain pool and [dedup_threshold:0] the
-   dedup/intern machinery even on these deliberately tiny trees — the lazy
-   fallbacks are exercised separately below. *)
-let collect ?fuel ?max_crashes ?(par_threshold = 0) ?(dedup_threshold = 0)
-    ~options ~proj impl workloads =
+(* [dedup_threshold:0] forces the dedup/intern machinery even on these
+   deliberately tiny trees — the lazy fallback is exercised separately
+   below. *)
+let collect ?fuel ?max_crashes ?(dedup_threshold = 0) ~options ~proj impl
+    workloads =
   let acc = ref [] in
   let stats =
-    Explore.run impl ~workloads ?fuel ?max_crashes ~options ~par_threshold
-      ~dedup_threshold
+    Explore.run impl ~workloads ?fuel ?max_crashes ~options ~dedup_threshold
       ~on_leaf:(fun leaf -> acc := proj leaf :: !acc)
       ()
   in
@@ -423,62 +423,44 @@ let test_symmetry_verdict_parity () =
       ("sticky3-stale", sticky3, Faults.degrade_all sticky3 ~glitches:1 (`Stale 1));
     ]
 
-(* --- multicore fan-out ------------------------------------------------------ *)
+(* --- stop and error propagation ------------------------------------------- *)
 
-let test_parallel_matches_sequential () =
-  let impl = rw_impl ~procs:3 ~bits:2 ~coin:false in
-  let workloads = [| [ cp 0 1; rd 0 ]; [ wr 0 true ]; [ cp 1 0 ] |] in
-  let seq, seq_leaves =
-    collect ~options:Explore.naive ~proj:full_proj impl workloads
-  in
-  let par, par_leaves =
-    collect
-      ~options:{ Explore.naive with domains = 3 }
-      ~proj:full_proj impl workloads
-  in
-  Alcotest.(check int) "same leaves" seq.Explore.leaves par.Explore.leaves;
-  Alcotest.(check int) "same nodes" seq.Explore.nodes par.Explore.nodes;
-  Alcotest.(check (list value)) "same executions (timestamps included)"
-    seq_leaves par_leaves;
-  check_same_invariants ~msg:"parallel" seq par;
-  Alcotest.(check bool) "used the pool" true (par.Explore.domains_used > 1)
-
-let test_parallel_fast_equiv () =
-  let impl = rw_impl ~procs:3 ~bits:3 ~coin:false in
-  let workloads = [| [ wr 0 true; rd 0 ]; [ wr 1 true; rd 1 ]; [ cp 0 2 ] |] in
-  let naive, naive_leaves =
-    collect ~options:Explore.naive ~proj:value_proj impl workloads
-  in
-  let par, par_leaves =
-    collect ~options:(Explore.parallel ~domains:3 ()) ~proj:value_proj impl
-      workloads
-  in
-  Alcotest.(check (list value)) "parallel fast: observation set"
-    (leaf_set naive_leaves) (leaf_set par_leaves);
-  check_same_invariants ~msg:"parallel fast" naive par
-
-let test_parallel_stop_and_errors () =
+(* Every engine path — the compiled kernel (naive and fast), the interpreter
+   under a fault adversary, and the checkpointed frontier — must cut a run
+   short with statistics and [Partial Stopped] when a leaf callback raises
+   [Exec.Stop], and re-raise any other callback exception on the caller. *)
+let test_stop_and_errors () =
   let impl = rw_impl ~procs:2 ~bits:2 ~coin:false in
   let workloads = [| [ cp 0 1; cp 1 0 ]; [ wr 0 true; wr 1 true ] |] in
-  (* Stop aborts early and still returns statistics *)
-  let seen = Atomic.make 0 in
-  let stats =
-    Explore.run impl ~workloads
-      ~options:{ Explore.naive with domains = 2 }
-      ~on_leaf:(fun _ ->
-        if Atomic.fetch_and_add seen 1 >= 3 then raise Exec.Stop)
-      ()
-  in
-  Alcotest.(check bool) "stopped early" true
-    (stats.Explore.leaves < 70 && stats.Explore.leaves > 0);
-  (* other exceptions propagate to the caller *)
-  let exception Boom in
-  Alcotest.check_raises "exception propagates" Boom (fun () ->
-      ignore
-        (Explore.run impl ~workloads
-           ~options:{ Explore.naive with domains = 2 }
-           ~on_leaf:(fun _ -> raise Boom)
-           ()))
+  let ck = Filename.temp_file "wfc_explore_stop" ".ck" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists ck then Sys.remove ck)
+  @@ fun () ->
+  List.iter
+    (fun (name, options, faults, checkpoint) ->
+      let run on_leaf =
+        Explore.run impl ~workloads ~options ?faults ?checkpoint ~on_leaf ()
+      in
+      let full = run ignore in
+      let stats = run (fun _ -> raise Exec.Stop) in
+      Alcotest.(check bool)
+        (Fmt.str "%s: stopped early (%d of %d leaves)" name
+           stats.Explore.leaves full.Explore.leaves)
+        true
+        (stats.Explore.leaves > 0 && stats.Explore.leaves < full.Explore.leaves);
+      (match stats.Explore.completeness with
+      | Explore.Partial Explore.Stopped -> ()
+      | c ->
+        Alcotest.failf "%s: expected Partial Stopped, got %a" name
+          Explore.pp_completeness c);
+      let exception Boom in
+      Alcotest.check_raises (name ^ ": exception propagates") Boom (fun () ->
+          ignore (run (fun _ -> raise Boom))))
+    [
+      ("kernel naive", Explore.naive, None, None);
+      ("kernel fast", Explore.fast, None, None);
+      ("interpreted faults", Explore.fast, Some (Faults.crashes 1), None);
+      ("checkpointed frontier", Explore.fast, None, Some (ck, 3600.));
+    ]
 
 (* --- downstream verdict equivalence ----------------------------------------- *)
 
@@ -587,14 +569,10 @@ let () =
           Alcotest.test_case "verdict parity incl. faults" `Quick
             test_symmetry_verdict_parity;
         ] );
-      ( "multicore",
+      ( "engine paths",
         [
-          Alcotest.test_case "parallel naive parity" `Quick
-            test_parallel_matches_sequential;
-          Alcotest.test_case "parallel fast equivalence" `Quick
-            test_parallel_fast_equiv;
           Alcotest.test_case "stop & error propagation" `Quick
-            test_parallel_stop_and_errors;
+            test_stop_and_errors;
         ] );
       ( "downstream verdicts",
         [

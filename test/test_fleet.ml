@@ -23,7 +23,6 @@ let engine =
   {
     Checkpoint.dedup = true;
     por = true;
-    domains = 1;
     symmetry = false;
   }
 

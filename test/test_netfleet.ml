@@ -378,7 +378,6 @@ let test_queue_resume_passes_checkpoint () =
     {
       Checkpoint.dedup = true;
       por = true;
-      domains = 1;
       symmetry = false;
     }
   in

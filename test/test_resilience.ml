@@ -1,7 +1,6 @@
 (* E13 — resilience of long-running verification: checkpoint/resume with
-   completeness stitched across segments, graceful degradation of the
-   supervised domain pool, the memory watchdog, and total (never-raising)
-   parsing of the witness/checkpoint text codecs. *)
+   completeness stitched across segments, the memory watchdog, and total
+   (never-raising) parsing of the witness/checkpoint text codecs. *)
 
 open Wfc_spec
 open Wfc_zoo
@@ -83,7 +82,6 @@ let sample_checkpoint () =
       {
         Checkpoint.dedup = true;
         por = false;
-        domains = 2;
         symmetry = false;
       }
     ~fuel:10_000 ~budget_left:1234 ~faults
@@ -236,7 +234,6 @@ let test_checkpoint_meta_validation () =
         {
           Checkpoint.dedup = false;
           por = false;
-          domains = 1;
           symmetry = false;
         }
       ~fuel:1 ~faults:Faults.none ~workloads:[| [] |]
@@ -419,77 +416,6 @@ let test_explore_interrupt_flush_and_resume () =
   | Explore.Exhaustive -> ()
   | Explore.Partial _ -> Alcotest.fail "resume after interrupt did not finish"
 
-(* --- supervised pool: crash and stall degradation -------------------------- *)
-
-let test_worker_crash_degrades_not_poisons () =
-  let impl = cas3 () in
-  let clean =
-    Explore.run impl ~workloads:workloads3 ~options:Explore.naive ()
-  in
-  let injected = Atomic.make false in
-  (* exactly one worker dies at its very first node, before it can have
-     emitted any leaf: the requeued subtree must be re-explored in full *)
-  let chaos ~worker:_ ~nodes =
-    if nodes = 1 && Atomic.compare_and_set injected false true then
-      failwith "injected worker crash"
-  in
-  let stats =
-    Explore.run impl ~workloads:workloads3
-      ~options:{ Explore.naive with domains = 4 }
-      ~par_threshold:0 ~chaos ()
-  in
-  Alcotest.(check bool) "chaos fired" true (Atomic.get injected);
-  (match completeness_of stats with
-  | Explore.Exhaustive -> ()
-  | Explore.Partial _ -> Alcotest.fail "degraded run must still be exhaustive");
-  Alcotest.(check int) "crash counted as degradation" 1 stats.Explore.degraded;
-  Alcotest.(check int)
-    "verdict-relevant coverage identical to the clean run" clean.Explore.leaves
-    stats.Explore.leaves
-
-let test_user_exception_still_propagates () =
-  (* a leaf callback's exception is a user error, not a worker failure: it
-     must abort the run and re-raise on the caller, never count as
-     degradation *)
-  let impl = cas3 () in
-  let exception Probe in
-  (match
-     Explore.run impl ~workloads:workloads3
-       ~options:{ Explore.naive with domains = 4 }
-       ~par_threshold:0
-       ~chaos:(fun ~worker:_ ~nodes:_ -> ())
-       ~on_leaf:(fun _ -> raise Probe)
-       ()
-   with
-  | _ -> Alcotest.fail "expected the callback's exception to propagate"
-  | exception Probe -> ())
-
-let test_stalled_worker_requeued () =
-  let impl = cas3 () in
-  let clean =
-    Explore.run impl ~workloads:workloads3 ~options:Explore.naive ()
-  in
-  let stalled = Atomic.make false in
-  let chaos ~worker:_ ~nodes =
-    if nodes = 1 && Atomic.compare_and_set stalled false true then
-      Unix.sleepf 0.4
-  in
-  let stats =
-    Explore.run impl ~workloads:workloads3
-      ~options:{ Explore.naive with domains = 4 }
-      ~par_threshold:0 ~stall_timeout_s:0.05 ~chaos ()
-  in
-  (match completeness_of stats with
-  | Explore.Exhaustive -> ()
-  | Explore.Partial _ -> Alcotest.fail "stall must not cut the run");
-  Alcotest.(check bool) "stall counted as degradation" true
-    (stats.Explore.degraded >= 1);
-  Alcotest.(check bool)
-    (Fmt.str "no work lost (%d vs clean %d)" stats.Explore.leaves
-       clean.Explore.leaves)
-    true
-    (stats.Explore.leaves >= clean.Explore.leaves)
-
 (* --- memory watchdog ------------------------------------------------------- *)
 
 let test_mem_watchdog_evicts_and_finishes () =
@@ -590,10 +516,12 @@ let test_verify_interrupt_resume_parity () =
   Alcotest.(check bool) "checkpoint removed" false (Sys.file_exists path)
 
 (* A wfc-checkpoint/2 file written while the engine still had a choice of
-   dedup representations carries [intern=]/[flat=] engine keys. They never
-   changed the explored tree, so such a file — even one taken with both
-   off — must resume to the one-shot verdict. *)
-let test_verify_legacy_engine_keys_resume () =
+   dedup representations carries [intern=]/[flat=] engine keys, and one
+   written while it still had an in-process domain pool carries [domains=].
+   None of them changed the explored tree, so such a file — even one taken
+   with both dedup representations off, or on a pool — must resume to the
+   one-shot verdict. *)
+let legacy_engine_line_resumes legacy_line =
   let impl = cas3 () in
   let reference = reference_verdict impl in
   let path = temp_ck () in
@@ -614,7 +542,7 @@ let test_verify_legacy_engine_keys_resume () =
       rest
       |> List.map (fun l ->
              if String.length l >= 7 && String.sub l 0 7 = "engine " then
-               "engine dedup=1 por=1 domains=1 intern=0 symmetry=1 flat=0"
+               legacy_line
              else l)
       |> String.concat "\n"
     | _ -> Alcotest.fail "unexpected checkpoint serialization"
@@ -626,7 +554,7 @@ let test_verify_legacy_engine_keys_resume () =
   let ck =
     match Checkpoint.of_string legacy with
     | Ok ck -> ck
-    | Error e -> Alcotest.failf "legacy engine keys refused: %s" e
+    | Error e -> Alcotest.failf "%s: refused: %s" legacy_line e
   in
   let rec go resume rounds =
     if rounds > 300 then Alcotest.fail "resume loop did not converge";
@@ -647,6 +575,13 @@ let test_verify_legacy_engine_keys_resume () =
     Alcotest.(check int) "max_events parity" reference.Check.max_events
       r.Check.max_events
   | v -> Alcotest.failf "expected Verified after resume, got %a" Check.pp_verdict v
+
+let test_verify_legacy_engine_keys_resume () =
+  List.iter legacy_engine_line_resumes
+    [
+      "engine dedup=1 por=1 domains=1 intern=0 symmetry=1 flat=0";
+      "engine dedup=1 por=1 domains=2 symmetry=1";
+    ]
 
 let test_verify_falsified_unaffected_by_checkpointing () =
   (* a protocol with a real violation must still be falsified identically
@@ -691,15 +626,6 @@ let () =
             test_explore_budget_checkpoint_resume;
           Alcotest.test_case "interrupt flushes and resumes" `Quick
             test_explore_interrupt_flush_and_resume;
-        ] );
-      ( "supervised pool",
-        [
-          Alcotest.test_case "worker crash degrades" `Quick
-            test_worker_crash_degrades_not_poisons;
-          Alcotest.test_case "user exception propagates" `Quick
-            test_user_exception_still_propagates;
-          Alcotest.test_case "stalled worker requeued" `Slow
-            test_stalled_worker_requeued;
         ] );
       ( "memory watchdog",
         [
