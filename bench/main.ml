@@ -459,15 +459,19 @@ let contains s sub =
   let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
   go 0
 
-let float_field line key =
-  let pat = Fmt.str "%S: " key in
+(* The index just past the first occurrence of [pat] in [line]. *)
+let index_after line pat =
   let n = String.length line and m = String.length pat in
   let rec find i =
     if i + m > n then None
     else if String.equal (String.sub line i m) pat then Some (i + m)
     else find (i + 1)
   in
-  match find 0 with
+  find 0
+
+let float_field line key =
+  let n = String.length line in
+  match index_after line (Fmt.str "%S: " key) with
   | None -> None
   | Some start ->
     let stop = ref start in
@@ -643,7 +647,12 @@ let explore_engine_report ~check () =
    workload, dumped as BENCH_faults.json. Faults branch the tree at every
    injection point, so the node blow-up factor is the honest price of the
    robustness guarantee; tracking it across PRs keeps the adversary layer
-   from quietly regressing. Run only this group with `bench/main.exe fi`. *)
+   from quietly regressing. Run only this group with `bench/main.exe fi`.
+
+   The node, leaf and max-event counts are deterministic — they pin the
+   exact tree each adversary walks — so `fi --check` compares every row
+   with the committed BENCH_faults.json instead of rewriting it and fails
+   on any difference, missing or extra row. *)
 
 let fault_adversaries impl =
   [
@@ -668,8 +677,49 @@ let fi_workloads () =
       |] );
   ]
 
-let fault_injection_report () =
+(* The string value of [key] on one of our own JSON lines. *)
+let string_field line key =
+  match index_after line (Fmt.str "%S: \"" key) with
+  | None -> None
+  | Some start -> (
+    match String.index_from_opt line start '"' with
+    | Some stop -> Some (String.sub line start (stop - start))
+    | None -> None)
+
+(* ⟨workload, adversary⟩ → "nodes/leaves/max_events" rows of a committed
+   BENCH_faults.json ([] when the file is missing). *)
+let committed_fault_rows path =
+  match open_in path with
+  | exception Sys_error _ -> []
+  | ic ->
+    let workload = ref "" and rows = ref [] in
+    (try
+       while true do
+         let l = input_line ic in
+         (match string_field l "name" with
+         | Some w -> workload := w
+         | None -> ());
+         match string_field l "adversary" with
+         | Some a ->
+           let int k =
+             match float_field l k with
+             | Some v -> string_of_int (int_of_float v)
+             | None -> "?"
+           in
+           rows :=
+             ( (!workload, a),
+               String.concat "/" [ int "nodes"; int "leaves"; int "max_events" ]
+             )
+             :: !rows
+         | None -> ()
+       done
+     with End_of_file -> ());
+    close_in ic;
+    List.rev !rows
+
+let fault_injection_report ~check () =
   Fmt.pr "==== FI fault-injection overhead (single timed runs) ====@.";
+  let measured = ref [] in
   let json_workloads =
     List.map
       (fun (name, impl, workloads) ->
@@ -699,6 +749,11 @@ let fault_injection_report () =
                 "  %-20s %9d nodes %8d leaves %9.3f ms (nodes x%.1f vs clean)@."
                 aname s.Explore.nodes s.Explore.leaves (wall *. 1e3)
                 node_blowup;
+              measured :=
+                ( (name, aname),
+                  Fmt.str "%d/%d/%d" s.Explore.nodes s.Explore.leaves
+                    s.Explore.max_events )
+                :: !measured;
               Fmt.str
                 {|        {"adversary": %S, "nodes": %d, "leaves": %d, "max_events": %d, "node_blowup": %.3f, "wall_s": %.6f}|}
                 aname s.Explore.nodes s.Explore.leaves s.Explore.max_events
@@ -709,16 +764,44 @@ let fault_injection_report () =
           (String.concat ",\n" rows))
       (fi_workloads ())
   in
-  let json =
-    Fmt.str
-      "{\n  \"schema\": \"wfc-bench-faults/1\",\n%s\n  \"workloads\": [\n%s\n  ]\n}\n"
-      (host_header ~skipped:[])
-      (String.concat ",\n" json_workloads)
-  in
-  let oc = open_out "BENCH_faults.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "wrote BENCH_faults.json@.@."
+  if check then begin
+    let measured = List.rev !measured in
+    let committed = committed_fault_rows "BENCH_faults.json" in
+    let failures = ref [] in
+    let fail fmt = Fmt.kstr (fun s -> failures := s :: !failures) fmt in
+    List.iter
+      (fun (((w, a) as key), got) ->
+        match List.assoc_opt key committed with
+        | Some want when String.equal want got -> ()
+        | Some want ->
+          fail "%s/%s: nodes/leaves/max_events %s, committed %s" w a got want
+        | None -> fail "%s/%s: no committed row" w a)
+      measured;
+    List.iter
+      (fun ((w, a), _) ->
+        if not (List.mem_assoc (w, a) measured) then
+          fail "%s/%s: committed row no longer measured" w a)
+      committed;
+    if committed = [] then fail "no rows in the committed BENCH_faults.json";
+    List.iter (fun s -> Fmt.pr "GUARD FAILED: %s@." s) (List.rev !failures);
+    if !failures = [] then
+      Fmt.pr "all %d rows match the committed BENCH_faults.json@.@."
+        (List.length measured);
+    !failures = []
+  end
+  else begin
+    let json =
+      Fmt.str
+        "{\n  \"schema\": \"wfc-bench-faults/1\",\n%s\n  \"workloads\": [\n%s\n  ]\n}\n"
+        (host_header ~skipped:[])
+        (String.concat ",\n" json_workloads)
+    in
+    let oc = open_out "BENCH_faults.json" in
+    output_string oc json;
+    close_out oc;
+    Fmt.pr "wrote BENCH_faults.json@.@.";
+    true
+  end
 
 (* --- LZ: linearizability engines (per-leaf vs incremental vs compositional) ---
 
@@ -1807,7 +1890,8 @@ let usage () =
   Fmt.epr
     "usage: main.exe [GROUP [FLAG]]@.\n\
      groups (no group runs the full suite):@.\
-    \  fi             fault injection (BENCH_faults.json)@.\
+    \  fi [--check]   fault injection (BENCH_faults.json; --check \
+     compares the committed exact counts instead of rewriting them)@.\
     \  lz             linearizability engines (BENCH_linearize.json)@.\
     \  ex [--check]   exploration engines (BENCH_explore.json; --check \
      compares the committed baseline instead of rewriting it)@.\
@@ -1828,8 +1912,9 @@ let () =
      in
      match Sys.argv.(1) with
      | "fi" ->
-       fault_injection_report ();
-       exit 0
+       (* `fi --check` compares the committed exact counts instead of
+          rewriting BENCH_faults.json *)
+       exit (if fault_injection_report ~check:(flag "--check") () then 0 else 1)
      | "lz" -> exit (if linearize_engine_report () then 0 else 1)
      | "ex" ->
        (* `ex` regenerates BENCH_explore.json; `ex --check` compares against
@@ -1849,7 +1934,7 @@ let () =
        exit 2);
   shape_facts ();
   if not (explore_engine_report ~check:false ()) then exit 1;
-  fault_injection_report ();
+  ignore (fault_injection_report ~check:false ());
   if not (linearize_engine_report ()) then exit 1;
   if not (compact_report ()) then exit 1;
   if not (resume_report ()) then exit 1;

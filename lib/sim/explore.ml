@@ -87,319 +87,6 @@ let null_tracker =
     fingerprint = Some (fun () -> Value.unit);
   }
 
-(* --- configurations ---------------------------------------------------------
-
-   Same persistent representation as [Exec], with one addition: a pending
-   operation remembers the base responses it has received so far
-   ([resps_rev]). Programs are deterministic functions of (proc, invocation,
-   local-at-invocation), so ⟨inv0, resps_rev⟩ pins the continuation [node]
-   exactly — which is what lets a configuration be fingerprinted even though
-   [node] contains closures. (A glitched response enters [resps_rev] like an
-   honest one: the continuation depends on what the program saw, not on
-   whether the object really said it.) *)
-
-type pend = {
-  inv0 : Value.t;
-  op_index : int;
-  node : (Value.t * Value.t) Program.t;
-  steps_done : int;
-  started : int;
-  resps_rev : Value.t list;
-}
-
-type prec = {
-  todo : Value.t list;
-  next_op : int;
-  pending : pend option;
-  local : Value.t;
-}
-
-type cfg = {
-  objs : Value.t array;
-  procs : prec array;
-  ops_rev : Exec.op list;
-  events : int;
-  acc : int array;
-  crashed : bool array;
-  crashes_left : int;
-  recoveries_left : int;
-  glitches_left : int;
-  stuck : bool array;
-  hist : Value.t list array;
-  faults : Faults.t;
-}
-
-let initial_cfg impl ~workloads =
-  if Array.length workloads <> impl.Implementation.procs then
-    invalid_arg "Explore: workloads length must equal impl.procs";
-  let n_objs = Array.length impl.Implementation.objects in
-  {
-    objs = Array.map snd impl.Implementation.objects;
-    procs =
-      Array.mapi
-        (fun p todo ->
-          {
-            todo;
-            next_op = 0;
-            pending = None;
-            local = impl.Implementation.local_init p;
-          })
-        workloads;
-    ops_rev = [];
-    events = 0;
-    acc = Array.make n_objs 0;
-    crashed = Array.make (Array.length workloads) false;
-    crashes_left = 0;
-    recoveries_left = 0;
-    glitches_left = 0;
-    stuck = Array.make (Array.length workloads) false;
-    hist = Array.make n_objs [];
-    faults = Faults.none;
-  }
-
-let with_faults cfg (f : Faults.t) =
-  {
-    cfg with
-    faults = f;
-    crashes_left = f.Faults.max_crashes;
-    recoveries_left = f.Faults.max_recoveries;
-    glitches_left = f.Faults.max_glitches;
-  }
-
-let enabled cfg =
-  let out = ref [] in
-  for p = Array.length cfg.procs - 1 downto 0 do
-    let pr = cfg.procs.(p) in
-    if
-      (not cfg.crashed.(p))
-      && (not cfg.stuck.(p))
-      && (pr.pending <> None || pr.todo <> [])
-    then out := p :: !out
-  done;
-  !out
-
-let recoverable cfg =
-  if cfg.recoveries_left <= 0 then []
-  else begin
-    let out = ref [] in
-    for p = Array.length cfg.procs - 1 downto 0 do
-      let pr = cfg.procs.(p) in
-      if
-        cfg.crashed.(p)
-        && (not cfg.stuck.(p))
-        && (pr.pending <> None || pr.todo <> [])
-      then out := p :: !out
-    done;
-    !out
-  end
-
-let crash cfg p =
-  let crashed = Array.copy cfg.crashed in
-  crashed.(p) <- true;
-  { cfg with crashed; crashes_left = cfg.crashes_left - 1; events = cfg.events + 1 }
-
-let recover cfg p =
-  let crashed = Array.copy cfg.crashed in
-  crashed.(p) <- false;
-  let pr = cfg.procs.(p) in
-  let pr' =
-    match pr.pending with
-    | None -> pr
-    | Some pd -> { pr with todo = pd.inv0 :: pr.todo; pending = None }
-  in
-  let procs = Array.copy cfg.procs in
-  procs.(p) <- pr';
-  {
-    cfg with
-    crashed;
-    procs;
-    recoveries_left = cfg.recoveries_left - 1;
-    events = cfg.events + 1;
-  }
-
-let wedge cfg p =
-  let stuck = Array.copy cfg.stuck in
-  stuck.(p) <- true;
-  { cfg with stuck; events = cfg.events + 1 }
-
-let set_proc procs p pr' =
-  let procs' = Array.copy procs in
-  procs'.(p) <- pr';
-  procs'
-
-let push_hist cfg obj q' =
-  let q = cfg.objs.(obj) in
-  if Value.equal q q' || not (Faults.tracks_history cfg.faults obj) then
-    cfg.hist
-  else begin
-    let depth = Faults.stale_depth cfg.faults obj in
-    let hist = Array.copy cfg.hist in
-    hist.(obj) <- List.filteri (fun i _ -> i < depth) (q :: hist.(obj));
-    hist
-  end
-
-let continue cfg p ~objs ~acc ~hist ~glitches_left ~inv0 ~op_index ~started
-    ~steps ~resps_rev ~todo node =
-  match node with
-  | Program.Return (resp, local') ->
-    let completed =
-      {
-        Exec.proc = p;
-        op_index;
-        inv = inv0;
-        resp;
-        start_step = started;
-        end_step = cfg.events;
-        steps;
-      }
-    in
-    let pr' = { todo; next_op = op_index + 1; pending = None; local = local' } in
-    {
-      cfg with
-      objs;
-      procs = set_proc cfg.procs p pr';
-      ops_rev = completed :: cfg.ops_rev;
-      events = cfg.events + 1;
-      acc;
-      hist;
-      glitches_left;
-    }
-  | Program.Invoke _ ->
-    let pd = { inv0; op_index; node; steps_done = steps; started; resps_rev } in
-    let pr' = { cfg.procs.(p) with todo; pending = Some pd } in
-    {
-      cfg with
-      objs;
-      procs = set_proc cfg.procs p pr';
-      events = cfg.events + 1;
-      acc;
-      hist;
-      glitches_left;
-    }
-
-let poised impl cfg p =
-  let pr = cfg.procs.(p) in
-  match pr.pending with
-  | Some pd ->
-    Some
-      ( pd.inv0,
-        pd.op_index,
-        pd.started,
-        pd.steps_done,
-        pd.resps_rev,
-        pr.todo,
-        pd.node )
-  | None -> (
-    match pr.todo with
-    | [] -> None
-    | inv :: rest ->
-      Some
-        ( inv,
-          pr.next_op,
-          cfg.events,
-          0,
-          [],
-          rest,
-          impl.Implementation.program ~proc:p ~inv pr.local ))
-
-let bad_step impl cfg p obj inv =
-  let spec, _ = impl.Implementation.objects.(obj) in
-  raise
-    (Type_spec.Bad_step
-       (Fmt.str "proc %d: invocation %a disabled on object %d (%s) in state %a"
-          p Value.pp inv obj spec.Type_spec.name Value.pp cfg.objs.(obj)))
-
-let invoke_children cfg p ~inv0 ~op_index ~started ~steps_done ~resps_rev
-    ~todo ~obj k alts =
-  List.map
-    (fun (q', resp) ->
-      (* pure reads leave the state unchanged: share the parent's array
-         instead of copying just to write back the same value (the
-         incremental fingerprint diff then sees no change either). The test
-         is physical on purpose — well-behaved specs return the argument
-         state itself for reads, and a structural walk over a large state
-         would cost more than the copy it saves. *)
-      let objs =
-        if q' == cfg.objs.(obj) then cfg.objs
-        else begin
-          let objs = Array.copy cfg.objs in
-          objs.(obj) <- q';
-          objs
-        end
-      in
-      let acc = Array.copy cfg.acc in
-      acc.(obj) <- acc.(obj) + 1;
-      let hist = push_hist cfg obj q' in
-      continue cfg p ~objs ~acc ~hist ~glitches_left:cfg.glitches_left ~inv0
-        ~op_index ~started ~steps:(steps_done + 1)
-        ~resps_rev:(resp :: resps_rev) ~todo (k resp))
-    alts
-
-let step_alternatives impl cfg p =
-  match poised impl cfg p with
-  | None -> []
-  | Some (inv0, op_index, started, steps_done, resps_rev, todo, node) -> (
-    match node with
-    | Program.Return _ ->
-      [
-        continue cfg p ~objs:cfg.objs ~acc:cfg.acc ~hist:cfg.hist
-          ~glitches_left:cfg.glitches_left ~inv0 ~op_index ~started
-          ~steps:steps_done ~resps_rev ~todo node;
-      ]
-    | Program.Invoke { obj; inv; k; _ } ->
-      let spec, _ = impl.Implementation.objects.(obj) in
-      let port = impl.Implementation.port_map ~proc:p ~obj in
-      let alts = Type_spec.alternatives spec cfg.objs.(obj) ~port ~inv in
-      if alts = [] then bad_step impl cfg p obj inv;
-      invoke_children cfg p ~inv0 ~op_index ~started ~steps_done ~resps_rev
-        ~todo ~obj k alts)
-
-let glitch_alternatives impl cfg p =
-  if cfg.glitches_left <= 0 then []
-  else
-    match poised impl cfg p with
-    | None -> []
-    | Some (inv0, op_index, started, steps_done, resps_rev, todo, node) -> (
-      match node with
-      | Program.Return _ -> []
-      | Program.Invoke { obj; inv; k; _ } -> (
-        match Faults.degradation_of cfg.faults obj with
-        | None -> []
-        | Some d ->
-          let spec, _ = impl.Implementation.objects.(obj) in
-          let port = impl.Implementation.port_map ~proc:p ~obj in
-          let q = cfg.objs.(obj) in
-          let alts_at qs =
-            try Type_spec.alternatives spec qs ~port ~inv
-            with Type_spec.Bad_step _ -> []
-          in
-          let resps =
-            Faults.glitch_responses ~alts:(alts_at q) ~alts_at ~q
-              ~hist:cfg.hist.(obj) d
-          in
-          List.filter_map
-            (fun resp ->
-              let acc = Array.copy cfg.acc in
-              acc.(obj) <- acc.(obj) + 1;
-              match
-                continue cfg p ~objs:cfg.objs ~acc ~hist:cfg.hist
-                  ~glitches_left:(cfg.glitches_left - 1) ~inv0 ~op_index
-                  ~started ~steps:(steps_done + 1)
-                  ~resps_rev:(resp :: resps_rev) ~todo (k resp)
-              with
-              | cfg' -> Some ((obj, inv, resp), cfg')
-              | exception Value.Type_error _ -> None)
-            resps))
-
-let leaf_of_cfg cfg =
-  {
-    Exec.objects = cfg.objs;
-    locals = Array.map (fun pr -> pr.local) cfg.procs;
-    ops = List.rev cfg.ops_rev;
-    events = cfg.events;
-    accesses = cfg.acc;
-  }
-
 (* --- process-symmetry reduction ---------------------------------------------
 
    Two configurations that differ only by a permutation π of interchangeable
@@ -484,13 +171,16 @@ end
    when a cached state was explored under the same (or smaller) sleep set,
    and keying on the exact set is the simple sound choice.
 
+   A pending operation's continuation is a closure, but programs are
+   deterministic functions of (proc, invocation, local-at-invocation), so
+   ⟨inv0, responses so far⟩ pins it exactly. (A glitched response enters
+   that list like an honest one: the continuation depends on what the
+   program saw, not on whether the object really said it.)
+
    Every component is a hash-consed [Value.Intern.cell], maintained
-   *incrementally* along tree edges. Configurations are persistent — every
-   transition [Array.copy]s the touched array and shares all other elements
-   — so a physical diff of child against parent pinpoints the components
-   that changed in O(#procs + #objs) pointer comparisons, and only those are
-   re-interned. There is no "unapply" pass: backtracking is free because
-   each node holds its own immutable [fpc] and the parent's is untouched.
+   *incrementally* by the kernel along tree edges: an edge re-interns only
+   the components it touched, and restores the parent's cells when it
+   backtracks.
 
    Per-process components deliberately exclude the pid itself (the position
    in the key carries it; under symmetry, the canonical position), and a
@@ -503,173 +193,12 @@ end
 
 module I = Value.Intern
 
-type fpc = {
-  src : cfg;  (* the configuration these cells fingerprint *)
-  obj_cells : I.cell array;
-  hist_cells : I.cell array;
-  proc_cells : I.cell array;
-  ops_cells : I.cell array;  (* per proc: cons-chain of completed-op cells *)
-}
-
 let fp_op_cell ist (o : Exec.op) =
   I.list ist
     [ I.int ist o.op_index; I.intern ist o.inv; I.intern ist o.resp;
       I.int ist o.steps ]
 
-let fp_proc_cell ist pr =
-  I.list ist
-    [
-      I.list ist (List.map (I.intern ist) pr.todo);
-      I.int ist pr.next_op;
-      (match pr.pending with
-      | None -> I.unit ist
-      | Some pd ->
-        I.list ist
-          (I.intern ist pd.inv0
-          :: I.int ist pd.op_index
-          :: List.map (I.intern ist) pd.resps_rev));
-      I.intern ist pr.local;
-    ]
-
 let fp_hist_cell ist h = I.list ist (List.map (I.intern ist) h)
-
-(* Build from scratch — the root of an exploration, or a frontier item whose
-   cache was dropped (a resumed or spilled subtree root). *)
-let fpc_of_cfg ist cfg =
-  let ops_cells = Array.make (Array.length cfg.procs) (I.unit ist) in
-  List.iter
-    (fun (o : Exec.op) ->
-      ops_cells.(o.proc) <- I.pair ist (fp_op_cell ist o) ops_cells.(o.proc))
-    (List.rev cfg.ops_rev);
-  {
-    src = cfg;
-    obj_cells = Array.map (I.intern ist) cfg.objs;
-    hist_cells = Array.map (fp_hist_cell ist) cfg.hist;
-    proc_cells = Array.map (fp_proc_cell ist) cfg.procs;
-    ops_cells;
-  }
-
-(* Re-intern exactly the indices where the child array's element is not
-   physically the parent's. Immediate values (e.g. [Value.Unit]) compare by
-   value under [!=], and a false "changed" on a block merely re-interns to
-   the same cell — the diff is conservative, never wrong. *)
-let update_cells cells olds news f =
-  if olds == news then cells
-  else begin
-    let out = ref cells in
-    Array.iteri
-      (fun i x ->
-        if x != Array.unsafe_get olds i then begin
-          if !out == cells then out := Array.copy cells;
-          !out.(i) <- f x
-        end)
-      news;
-    !out
-  end
-
-let fpc_advance ist fpc cfg' =
-  if fpc.src == cfg' then fpc
-  else begin
-    let src = fpc.src in
-    let ops_cells =
-      (* Same physical completion detector as [step_state]: an edge retires
-         at most one operation. *)
-      match cfg'.ops_rev with
-      | o :: rest when rest == src.ops_rev ->
-        let a = Array.copy fpc.ops_cells in
-        a.(o.proc) <- I.pair ist (fp_op_cell ist o) a.(o.proc);
-        a
-      | _ -> fpc.ops_cells
-    in
-    {
-      src = cfg';
-      obj_cells = update_cells fpc.obj_cells src.objs cfg'.objs (I.intern ist);
-      hist_cells =
-        update_cells fpc.hist_cells src.hist cfg'.hist (fp_hist_cell ist);
-      proc_cells =
-        update_cells fpc.proc_cells src.procs cfg'.procs (fp_proc_cell ist);
-      ops_cells;
-    }
-  end
-
-(* --- partial-order reduction (source-set style) ------------------------------
-
-   Each node classifies every runnable process's next transition ONCE into a
-   [pstep]: the POR kind plus everything needed to generate its children —
-   the base-object alternatives are computed here and reused for generation,
-   never recomputed. The branch set at a node is the source set: enabled
-   processes minus the sleep set; members of the sleep set have their
-   subtrees excluded before any child configuration is constructed.
-
-   Two processes are independent at a configuration when both next accesses
-   are deterministic single-alternative steps and either (a) they target
-   different objects, or (b) they target the same object and both leave its
-   state unchanged (read-read commutation: the two orders reach literally
-   identical configurations — same object states, same responses, same
-   access counts and histories — only per-op timestamps differ, and those
-   are outside the soundness envelope). Zero-access completions and
-   nondeterministic accesses are conservatively dependent with
-   everything. *)
-
-type acc_kind = { obj : int; det : bool; pure_read : bool }
-type next_kind = Pure | Acc of acc_kind
-
-type pstep = {
-  kind : next_kind;
-  inv0 : Value.t;
-  op_index : int;
-  started : int;
-  steps_done : int;
-  resps_rev : Value.t list;
-  todo : Value.t list;
-  node : (Value.t * Value.t) Program.t;
-  alts : (Value.t * Value.t) list;  (* cached; [] for [Pure] *)
-}
-
-let pstep_of impl cfg p =
-  match poised impl cfg p with
-  | None -> None
-  | Some (inv0, op_index, started, steps_done, resps_rev, todo, node) ->
-    let kind, alts =
-      match node with
-      | Program.Return _ -> (Pure, [])
-      | Program.Invoke { obj; inv; _ } ->
-        let spec, _ = impl.Implementation.objects.(obj) in
-        let port = impl.Implementation.port_map ~proc:p ~obj in
-        let alts = Type_spec.alternatives spec cfg.objs.(obj) ~port ~inv in
-        let det, pure_read =
-          match alts with
-          | [ (q', _) ] ->
-            (true, q' == cfg.objs.(obj) || Value.equal q' cfg.objs.(obj))
-          | _ -> (false, false)
-        in
-        (Acc { obj; det; pure_read }, alts)
-    in
-    Some
-      { kind; inv0; op_index; started; steps_done; resps_rev; todo; node; alts }
-
-(* Children of a classified step — reuses the alternatives [pstep_of]
-   already computed instead of walking the spec again. *)
-let children_of_pstep impl cfg p ps =
-  match ps.node with
-  | Program.Return _ ->
-    [
-      continue cfg p ~objs:cfg.objs ~acc:cfg.acc ~hist:cfg.hist
-        ~glitches_left:cfg.glitches_left ~inv0:ps.inv0 ~op_index:ps.op_index
-        ~started:ps.started ~steps:ps.steps_done ~resps_rev:ps.resps_rev
-        ~todo:ps.todo ps.node;
-    ]
-  | Program.Invoke { obj; inv; k; _ } ->
-    if ps.alts = [] then bad_step impl cfg p obj inv;
-    invoke_children cfg p ~inv0:ps.inv0 ~op_index:ps.op_index
-      ~started:ps.started ~steps_done:ps.steps_done ~resps_rev:ps.resps_rev
-      ~todo:ps.todo ~obj k ps.alts
-
-let independent (nexts : pstep option array) p q =
-  match (nexts.(p), nexts.(q)) with
-  | Some { kind = Acc a; _ }, Some { kind = Acc b; _ } ->
-    a.det && b.det && (a.obj <> b.obj || (a.pure_read && b.pure_read))
-  | _ -> false
 
 (* --- graceful degradation ----------------------------------------------------
 
@@ -812,40 +341,6 @@ let options_of_engine (e : Checkpoint.engine) =
     symmetry = e.Checkpoint.symmetry;
   }
 
-(* The ⟨proc, target-level invocation⟩ of every live pending operation:
-   invoked, not yet returned, process neither crashed nor stuck. Only these
-   attempts can still complete as-is (a recovery restarts the operation with
-   a fresh invocation), which is what a tracker's early-linearization
-   reasoning depends on. *)
-let live_pending cfg =
-  let out = ref [] in
-  for p = Array.length cfg.procs - 1 downto 0 do
-    if (not cfg.crashed.(p)) && not cfg.stuck.(p) then
-      match cfg.procs.(p).pending with
-      | Some pd -> out := (p, pd.inv0) :: !out
-      | None -> ()
-  done;
-  !out
-
-(* Tracker state across a step/glitch edge: an [Op_completed] event exactly
-   when the edge retired an operation. [continue] either prepends to
-   [ops_rev] or leaves it physically untouched, so the physical comparison
-   is an exact completion detector. *)
-let step_state (t : _ tracker) st ~trace_rev cfg cfg' =
-  match cfg'.ops_rev with
-  | o :: rest when rest == cfg.ops_rev ->
-    t.event st ~trace_rev (Op_completed { op = o; pending = live_pending cfg' })
-  | _ -> st
-
-(* Per-run duplicate-state machinery. The table (and the intern state
-   whose cells key it) is allocated lazily, only once the run has visited
-   [threshold] nodes: on trees smaller than that the table can never pay
-   for its own allocation, let alone the per-node fingerprinting — that was
-   the E3-sticky3-tree regression, where a 4096-bucket table plus deep
-   fingerprints served a 15-node tree. States visited before activation
-   are simply never cached, which is sound (pruning only ever happens on a
-   hit). *)
-
 (* --- flat fingerprint encoding -----------------------------------------------
 
    The hot-path representation of a dedup key: a fixed-size scratch
@@ -877,9 +372,9 @@ type flat_ctx = {
   mutable bloom : Fingerprint.Bloom.t option;  (* probabilistic tier *)
 }
 
-let flat_create ?ist ~n_objs ~n_procs ~tier2 ~bloom_bits_log2 () =
+let flat_create ~ist ~n_objs ~n_procs ~tier2 ~bloom_bits_log2 () =
   {
-    ist = (match ist with Some s -> s | None -> I.create ());
+    ist;
     buf = Array.make ((3 * n_objs) + (5 * n_procs) + 5) 0;
     tmp = Array.make 5 0;
     table = (if tier2 then None else Some (Fingerprint.Table.create ()));
@@ -913,12 +408,10 @@ let sort_records buf tmp ~base ~lo ~hi =
     Array.blit tmp 0 buf (base + (5 * (!j + 1))) 5
   done
 
-(* Fill the scratch buffer from a set of cell/scalar components and hash it.
-   Zero allocation. Shared verbatim by the interpreted path (components come
-   from an [fpc] cache over persistent configurations) and the compiled
-   kernel (components are the engine's own mutable arrays): both feed the
-   same per-ist cell ids, so they key identically. *)
-let encode_flat_parts fx ~obj_cells ~hist_cells ~proc_cells ~ops_cells ~acc
+(* Fill the scratch buffer from the kernel's cell/scalar components and hash
+   it. Zero allocation. [crashed], [stuck] and [sleep] are per-process
+   bitmasks. *)
+let encode_flat fx ~obj_cells ~hist_cells ~proc_cells ~ops_cells ~acc
     ~crashed ~stuck ~events ~crashes_left ~recoveries_left ~glitches_left
     ~sleep ~classes ~tracker_id =
   let buf = fx.buf in
@@ -936,8 +429,8 @@ let encode_flat_parts fx ~obj_cells ~hist_cells ~proc_cells ~ops_cells ~acc
     let k = base + (5 * slot) in
     buf.(k) <- I.id proc_cells.(p);
     buf.(k + 1) <- I.id ops_cells.(p);
-    buf.(k + 2) <- Bool.to_int crashed.(p);
-    buf.(k + 3) <- Bool.to_int stuck.(p);
+    buf.(k + 2) <- (crashed lsr p) land 1;
+    buf.(k + 3) <- (stuck lsr p) land 1;
     buf.(k + 4) <- (sleep lsr p) land 1
   in
   (match classes with
@@ -971,13 +464,6 @@ let encode_flat_parts fx ~obj_cells ~hist_cells ~proc_cells ~ops_cells ~acc
   buf.(!j + 4) <- tracker_id;
   Fingerprint.hash_array buf ~len:(!j + 5)
 
-let encode_flat fx fpc cfg ~sleep ~classes ~tracker_id =
-  encode_flat_parts fx ~obj_cells:fpc.obj_cells ~hist_cells:fpc.hist_cells
-    ~proc_cells:fpc.proc_cells ~ops_cells:fpc.ops_cells ~acc:cfg.acc
-    ~crashed:cfg.crashed ~stuck:cfg.stuck ~events:cfg.events
-    ~crashes_left:cfg.crashes_left ~recoveries_left:cfg.recoveries_left
-    ~glitches_left:cfg.glitches_left ~sleep ~classes ~tracker_id
-
 (* Exact tier while it exists, Bloom tier after the watchdog demoted it. *)
 let flat_mem_or_add fx ~hi ~lo =
   match (fx.table, fx.bloom) with
@@ -985,6 +471,11 @@ let flat_mem_or_add fx ~hi ~lo =
   | None, Some bl -> Fingerprint.Bloom.mem_or_add bl ~hi ~lo
   | None, None -> false
 
+(* Per-run duplicate-state machinery. The table is allocated lazily, only
+   once the run has visited [threshold] nodes: on trees smaller than that it
+   can never pay for its own allocation, let alone the per-node
+   fingerprinting. States visited before activation are simply never
+   cached, which is sound (pruning only ever happens on a hit). *)
 type dedup_ctx = {
   threshold : int;
   bloom_bits_log2 : int;
@@ -994,169 +485,6 @@ type dedup_ctx = {
       (* the memory watchdog demoted the table to the Bloom tier — dedup
          answers become probabilistic instead of vanishing *)
 }
-
-(* Probe (and record) the current state. Returns ⟨already seen?, advanced
-   fingerprint cache for the children⟩. Below the activation threshold this
-   is a no-op — no table, no intern state, no fingerprint is ever built. *)
-let probe_dedup dd ~t ~nodes cfg sleep st fpcur =
-  if Option.is_none dd.table && nodes < dd.threshold then (false, None)
-  else begin
-    let fx =
-      match dd.table with
-      | Some fx -> fx
-      | None ->
-        let fx =
-          flat_create
-            ~n_objs:(Array.length cfg.objs)
-            ~n_procs:(Array.length cfg.procs) ~tier2:dd.tier2
-            ~bloom_bits_log2:dd.bloom_bits_log2 ()
-        in
-        dd.table <- Some fx;
-        fx
-    in
-    let fpc =
-      match fpcur with
-      | Some f -> fpc_advance fx.ist f cfg
-      | None -> fpc_of_cfg fx.ist cfg
-    in
-    let tracker_id =
-      match t.fingerprint with
-      | Some fp -> I.id (I.intern fx.ist (fp st))
-      | None -> -1
-    in
-    let hi, lo = encode_flat fx fpc cfg ~sleep ~classes:dd.classes ~tracker_id in
-    (flat_mem_or_add fx ~hi ~lo, Some fpc)
-  end
-
-(* One node of the search: handle leaf/limits/fuel/dedup bookkeeping in [c],
-   then hand each child configuration (with its sleep set, extended decision
-   trace and advanced tracker state) to [recurse]. Both the sequential DFS
-   and the frontier expansion are instances of this. *)
-let visit impl opts ~fuel ~dd ~lim ~t c on_leaf ~recurse cfg sleep
-    trace_rev st fpcur =
-  let procs = enabled cfg in
-  let recs = recoverable cfg in
-  if lim.active then check_limits lim;
-  if procs = [] then begin
-    c.leaves <- c.leaves + 1;
-    if cfg.events > c.max_events then c.max_events <- cfg.events;
-    List.iter
-      (fun (o : Exec.op) ->
-        if o.steps > c.max_op_steps then c.max_op_steps <- o.steps)
-      cfg.ops_rev;
-    Array.iteri
-      (fun i a -> if a > c.max_accesses.(i) then c.max_accesses.(i) <- a)
-      cfg.acc;
-    on_leaf trace_rev (leaf_of_cfg cfg) st
-  end;
-  if procs <> [] || recs <> [] then begin
-    if cfg.events >= fuel then begin
-      if procs <> [] then begin
-        c.overflows <- c.overflows + 1;
-        if c.overflow_trace = None then
-          c.overflow_trace <- Some (List.rev trace_rev)
-      end
-    end
-    else
-      let revisited, fpc_next =
-        match dd with
-        | None -> (false, None)
-        | Some dd -> probe_dedup dd ~t ~nodes:c.nodes cfg sleep st fpcur
-      in
-      if revisited then c.pruned <- c.pruned + 1
-      else begin
-        (* Classify each runnable process's next transition once: the POR
-           kind for independence queries AND the cached alternatives for
-           child generation below. *)
-        let nexts =
-          if opts.por then
-            Array.init (Array.length cfg.procs) (fun p ->
-                if cfg.crashed.(p) || cfg.stuck.(p) then None
-                else pstep_of impl cfg p)
-          else [||]
-        in
-        let explored = ref 0 in
-        let derail = Faults.can_derail cfg.faults in
-        List.iter
-          (fun p ->
-            if sleep land (1 lsl p) <> 0 then
-              c.sleep_skips <- c.sleep_skips + 1
-            else begin
-              let child_sleep =
-                if not opts.por then 0
-                else begin
-                  let earlier = sleep lor !explored in
-                  let s = ref 0 in
-                  List.iter
-                    (fun q ->
-                      if
-                        q <> p
-                        && earlier land (1 lsl q) <> 0
-                        && independent nexts p q
-                      then s := !s lor (1 lsl q))
-                    procs;
-                  !s
-                end
-              in
-              let children () =
-                if opts.por then
-                  match nexts.(p) with
-                  | Some ps -> children_of_pstep impl cfg p ps
-                  | None -> []
-                else step_alternatives impl cfg p
-              in
-              (match children () with
-              | alts ->
-                List.iteri
-                  (fun i cfg' ->
-                    c.nodes <- c.nodes + 1;
-                    let tr =
-                      { Faults.proc = p; kind = Faults.Step i } :: trace_rev
-                    in
-                    recurse cfg' child_sleep tr
-                      (step_state t st ~trace_rev:tr cfg cfg')
-                      fpc_next)
-                  alts
-              | exception (Type_spec.Bad_step _ | Value.Type_error _)
-                when derail ->
-                c.nodes <- c.nodes + 1;
-                let tr =
-                  { Faults.proc = p; kind = Faults.Wedge } :: trace_rev
-                in
-                recurse (wedge cfg p) 0 tr
-                  (t.event st ~trace_rev:tr (Proc_wedged p))
-                  fpc_next);
-              List.iteri
-                (fun i ((_ : int * Value.t * Value.t), cfg') ->
-                  c.nodes <- c.nodes + 1;
-                  let tr =
-                    { Faults.proc = p; kind = Faults.Glitch i } :: trace_rev
-                  in
-                  recurse cfg' 0 tr
-                    (step_state t st ~trace_rev:tr cfg cfg')
-                    fpc_next)
-                (glitch_alternatives impl cfg p);
-              if cfg.crashes_left > 0 then begin
-                c.nodes <- c.nodes + 1;
-                let tr =
-                  { Faults.proc = p; kind = Faults.Crash } :: trace_rev
-                in
-                recurse (crash cfg p) 0 tr
-                  (t.event st ~trace_rev:tr (Proc_crashed p))
-                  fpc_next
-              end;
-              explored := !explored lor (1 lsl p)
-            end)
-          procs;
-        List.iter
-          (fun p ->
-            c.nodes <- c.nodes + 1;
-            recurse (recover cfg p) 0
-              ({ Faults.proc = p; kind = Faults.Recover } :: trace_rev)
-              st fpc_next)
-          recs
-      end
-  end
 
 let stats_of c ~lim =
   {
@@ -1179,49 +507,6 @@ let stats_of c ~lim =
       | None -> if c.probabilistic then Partial Probabilistic else Exhaustive);
     overflow_trace = c.overflow_trace;
   }
-
-(* --- prefix replay -----------------------------------------------------------
-
-   Re-materialize the configuration a decision-trace prefix reaches, using
-   the same transition functions the search used to produce it. This is what
-   turns a checkpoint's frontier — trace prefixes — back into live subtree
-   roots on resume. *)
-let replay_prefix impl root trace =
-  let fail fmt = Fmt.kstr (fun s -> Error s) fmt in
-  let rec go cfg trace_rev = function
-    | [] -> Ok (cfg, trace_rev)
-    | ({ Faults.proc = p; kind } as d) :: rest ->
-      if p < 0 || p >= Array.length cfg.procs then
-        fail "replay: no process p%d" p
-      else
-        let next =
-          match kind with
-          | Faults.Step i -> (
-            match step_alternatives impl cfg p with
-            | alts -> (
-              match List.nth_opt alts i with
-              | Some cfg' -> Ok cfg'
-              | None -> fail "replay: p%d has no step alternative %d" p i)
-            | exception (Type_spec.Bad_step _ | Value.Type_error _) ->
-              fail "replay: p%d cannot step" p)
-          | Faults.Glitch i -> (
-            match List.nth_opt (glitch_alternatives impl cfg p) i with
-            | Some (_, cfg') -> Ok cfg'
-            | None -> fail "replay: p%d has no glitch alternative %d" p i)
-          | Faults.Crash ->
-            if cfg.crashes_left > 0 && List.mem p (enabled cfg) then
-              Ok (crash cfg p)
-            else fail "replay: p%d cannot crash here" p
-          | Faults.Recover ->
-            if List.mem p (recoverable cfg) then Ok (recover cfg p)
-            else fail "replay: p%d cannot recover here" p
-          | Faults.Wedge -> Ok (wedge cfg p)
-        in
-        (match next with
-        | Ok cfg' -> go cfg' (d :: trace_rev) rest
-        | Error _ as e -> e)
-  in
-  go root [] trace
 
 (* --- memory watchdog ---------------------------------------------------------
 
@@ -1258,11 +543,6 @@ let mem_sample ~budget_words c (dd : dedup_ctx option) =
     (* table not yet allocated: it will start on the Bloom tier *))
   | _ -> ()
 
-let resolve_faults ?faults ~max_crashes () =
-  match faults with
-  | Some f -> { f with Faults.max_crashes = max f.Faults.max_crashes max_crashes }
-  | None -> Faults.crashes max_crashes
-
 (* Calibrated from the same BENCH_explore.json family: the sequential engine
    visits a node in ~1 µs without dedup, while allocating a dedup table plus
    fingerprinting every node costs tens of µs up front — on the 15-node
@@ -1272,12 +552,11 @@ let default_dedup_threshold = 64
 
 (* --- the compiled kernel -----------------------------------------------------
 
-   A second DFS over the *same* tree, specialised for the runs that need no
-   explicit frontier and no fault branching: no fault adversary, no
-   checkpointing. It serves every such run, reduced or not — with all
-   reductions off it is still bit-for-bit {!Exec.explore}.
-   Three things change relative to [visit], none of them which tree is
-   walked:
+   The one engine behind every run: naive or reduced, fault-free or under a
+   fault adversary, direct or in frontier mode (checkpointed, resumed or
+   spilled). With all reductions and faults off it is bit-for-bit
+   {!Exec.explore}. Three things make it fast, none of them changing which
+   tree is walked:
 
    - Transitions come from [Step_table] rows — per (interned state, port,
      invocation) lists compiled by running the interpreted spec once — so the
@@ -1288,25 +567,32 @@ let default_dedup_threshold = 64
      stable) canonical responses, so a program closure also runs at most once
      per (node, response).
 
-   - There is one mutable configuration instead of a persistent copy-on-write
-     fan-out. Each edge saves the handful of slots it is about to clobber in
-     locals of the recursive step function, mutates in place, recurses, and
-     restores — the OCaml call stack is the undo journal, so an edge
-     allocates no configuration at all.
+   - There is one mutable configuration. Each edge saves the handful of
+     slots it is about to clobber in locals of the recursive step function,
+     mutates in place, recurses, and restores — the OCaml call stack is the
+     undo journal, so an edge allocates no configuration at all.
 
-   - Duplicate-state fingerprints reuse [encode_flat_parts] over the
-     engine's own cell arrays. Below the activation threshold no cell is
-     ever built (mirroring the interpreter's lazy [fpc]); at activation the
-     cells are rebuilt from scratch and maintained incrementally from there
-     on. A frame that entered before activation has no cell saves, so when
-     it backtracks it marks the cache invalid and the next probe rebuilds —
-     a bounded number of O(state) rebuilds, paid only around the activation
-     frontier.
+   - Duplicate-state fingerprints are [encode_flat] over the engine's own
+     cell arrays. Below the activation threshold no cell is ever built; at
+     activation the cells are rebuilt from scratch and maintained
+     incrementally from there on. A frame that entered before activation has
+     no cell saves, so when it backtracks it marks the cache invalid and the
+     next probe rebuilds — a bounded number of O(state) rebuilds, paid only
+     around the activation frontier.
 
-   Everything observable is replicated exactly: visit order, counter
-   bookkeeping, sleep-set and dedup decisions, limiter/memcheck cadence,
-   tracker events, leaf snapshots, and the error messages of disabled
-   steps. *)
+   Fault branching adds children after each process's steps: its glitches
+   (degraded reads, see {!Faults.glitch_responses}), then its crash; after
+   all processes come the recoveries. When the adversary can derail a
+   program ([Faults.can_derail]), a step whose alternatives raise
+   [Bad_step]/[Type_error] becomes a single [Wedge] child instead; every
+   alternative is evaluated before the first is entered, so a wedge never
+   follows a partial fan-out.
+
+   Frontier mode drives the same kernel over ⟨decision-trace prefix, sleep
+   set⟩ items. A walk first replays its prefix through the kernel's own
+   edges — counting nothing, probing nothing — and then either explores the
+   subtree below it or, when expanding the frontier, visits only the item's
+   own node and records its children instead of entering them. *)
 
 (* Per-depth classification scratch as parallel arrays, pooled so the hot
    path never allocates a classification: [ck] is 0 for a program that
@@ -1340,23 +626,19 @@ let fresh_cls n_procs =
     cobj = Array.make n_procs 0;
   }
 
-(* Per-domain, per-implementation persistent compilation state: the intern
-   state, the transition tables keyed on it, the port map, and the program
-   memos all survive across runs — a verify invocation that explores many
-   workloads of one implementation compiles each row and program node once.
-   Keyed on physical identity of the implementation record; a tiny LRU keeps
-   unrelated implementations (e.g. property-test streams) from pinning each
-   other's tables. *)
-(* The kernel's entire mutable configuration as parallel arrays, pooled
-   across runs (sizes are fixed per implementation): a run borrows the pool,
-   re-initializes the few slots the root defines, and returns it on normal
+(* The kernel's mutable configuration as parallel arrays, pooled across runs
+   (sizes are fixed per implementation): a run borrows the pool,
+   re-initializes the slots the root defines, and returns it on normal
    completion. Reentrancy (a leaf callback starting another exploration of
    the same implementation) and abandoned runs (an exception unwinding past
-   the borrow) simply find the pool empty and allocate fresh. *)
+   the borrow) simply find the pool empty and allocate fresh. Crash and
+   wedge flags are bitmasks in locals of the run, not pooled. *)
 type mut_state = {
   ms_objs : Value.t array;
   ms_obj_cells : I.cell array;
   ms_acc : int array;
+  ms_hist : Value.t list array;
+      (* per object: its overwritten states, newest first *)
   ms_todo : Value.t list array;
   ms_next_op : int array;
   ms_local : Value.t array;
@@ -1370,13 +652,19 @@ type mut_state = {
   ms_proc_cells : I.cell array;
   ms_ops_cells : I.cell array;
   ms_hist_cells : I.cell array;
-  ms_no_flags : bool array;
   mutable ms_cls : cls array;
       (* per-depth classification scratch; entries are only ever read for
          processes classified at the current node, so stale slots from a
          previous node at the same depth are never observed *)
 }
 
+(* Per-domain, per-implementation persistent compilation state: the intern
+   state, the transition tables keyed on it, the port map, and the program
+   memos all survive across runs — a verify invocation that explores many
+   workloads of one implementation compiles each row and program node once.
+   Keyed on physical identity of the implementation record; a tiny LRU keeps
+   unrelated implementations (e.g. property-test streams) from pinning each
+   other's tables. *)
 type compiled_ctx = {
   cc_impl : Implementation.t;
   cc_ist : I.state;
@@ -1387,8 +675,7 @@ type compiled_ctx = {
          are deterministic functions of exactly that triple — the same
          contract the fingerprint already leans on — so memoizing is
          invisible. *)
-  cc_rootvals : Value.t array;  (* snd impl.objects — the usual root states *)
-  cc_rootcells : I.cell array;
+  cc_rootcells : I.cell array;  (* snd impl.objects, interned *)
   cc_decisions : Faults.decision array array;
       (* [p].(i), i < 8: preallocated step-decision records so trace conses
          don't allocate a fresh record and [Step] block per edge *)
@@ -1406,7 +693,6 @@ let compiled_ctx_of impl =
     let ist = I.create () in
     let n_procs = impl.Implementation.procs in
     let n_objs = Array.length impl.Implementation.objects in
-    let rootvals = Array.map snd impl.Implementation.objects in
     let cc =
       {
         cc_impl = impl;
@@ -1417,8 +703,10 @@ let compiled_ctx_of impl =
             impl.Implementation.objects;
         cc_ports = Array.init n_procs (fun _ -> Array.make n_objs min_int);
         cc_topmemo = Array.make n_procs [];
-        cc_rootvals = rootvals;
-        cc_rootcells = Array.map (I.intern ist) rootvals;
+        cc_rootcells =
+          Array.map
+            (fun (_, q0) -> I.intern ist q0)
+            impl.Implementation.objects;
         cc_decisions =
           Array.init n_procs (fun p ->
               Array.init 8 (fun i -> { Faults.proc = p; kind = Faults.Step i }));
@@ -1433,6 +721,7 @@ let fresh_mut_state ~n_objs ~n_procs ~unit_cell ~empty_hist =
     ms_objs = Array.make n_objs Value.unit;
     ms_obj_cells = Array.make n_objs unit_cell;
     ms_acc = Array.make n_objs 0;
+    ms_hist = Array.make n_objs [];
     ms_todo = Array.make n_procs [];
     ms_next_op = Array.make n_procs 0;
     ms_local = Array.make n_procs Value.unit;
@@ -1446,13 +735,11 @@ let fresh_mut_state ~n_objs ~n_procs ~unit_cell ~empty_hist =
     ms_proc_cells = Array.make n_procs unit_cell;
     ms_ops_cells = Array.make n_procs unit_cell;
     ms_hist_cells = Array.make n_objs empty_hist;
-    ms_no_flags = Array.make n_procs false;
     ms_cls = [||];
   }
 
 (* Lazy: [port_map] is only contractually total on the (proc, obj) pairs the
-   programs actually reach, so it is consulted exactly where the interpreter
-   would have consulted it. *)
+   programs actually reach, so it is consulted only where a step needs it. *)
 let port_of cc p obj =
   let v = cc.cc_ports.(p).(obj) in
   if v <> min_int then v
@@ -1476,22 +763,37 @@ let top_node cc p ~inv ~local =
   in
   find cc.cc_topmemo.(p)
 
+(* A frontier prefix that does not lead anywhere in this tree. *)
+exception Replay_error of string
+
+type walker = {
+  walk : Faults.trace -> sleep:int -> cut:int -> (Faults.trace * int) list;
+      (** [walk prefix ~sleep ~cut] replays [prefix], then visits the node it
+          reaches under sleep set [sleep]. Nodes at depth [cut] (in events
+          from the root) are not visited but returned, with their sleep sets,
+          in visit order: [cut = max_int] explores the whole subtree,
+          [List.length prefix + 1] expands one level, and
+          [List.length prefix] only checks that the prefix replays. Raises
+          [Replay_error] on a prefix that does not replay. *)
+  release : unit -> unit;
+      (** return the mutable configuration to the pool (normal completion
+          only) *)
+}
+
 (* Every index the kernel's hot frames use is established by a loop bound
-   ([0 .. n_procs-1]), by the pool-growth check in [nexts_at], or by the
-   bounds-checked [cc_tables.(obj)] load in [classify] (which validates a
-   program node's object index before any unchecked use), so the kernel
+   ([0 .. n_procs-1]), by the pool-growth check in [cls_at], or by the
+   bounds-checked [cc_tables.(obj)] load in [classify_into] (which validates
+   a program node's object index before any unchecked use), so the kernel
    reads and writes arrays unchecked. *)
-let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
-    ~user_tracker ~want_leaf c ~emit_leaf ~memcheck root =
+let kernel impl ~workloads ~faults ~(opts : options) ~fuel
+    ~(dd : dedup_ctx option) ~lim ~t ~user_tracker ~want_leaf c ~emit_leaf
+    ~memcheck =
   let cc = compiled_ctx_of impl in
   let ist = cc.cc_ist in
-  let n_objs = Array.length root.objs in
-  let n_procs = Array.length root.procs in
+  let n_objs = Array.length impl.Implementation.objects in
+  let n_procs = impl.Implementation.procs in
   let unit_cell = I.unit ist in
   let empty_hist = fp_hist_cell ist [] in
-  (* The single mutable configuration, as parallel arrays borrowed from the
-     per-implementation pool (the root never has a pending operation, so the
-     p_* pending slots may keep stale dummies). *)
   let ms =
     match cc.cc_pool with
     | Some ms ->
@@ -1502,6 +804,7 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
   let objs = ms.ms_objs
   and obj_cells = ms.ms_obj_cells
   and acc = ms.ms_acc
+  and hist = ms.ms_hist
   and todo = ms.ms_todo
   and next_op = ms.ms_next_op
   and local = ms.ms_local
@@ -1512,38 +815,50 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
   and p_steps = ms.ms_steps
   and p_resps = ms.ms_resps
   and p_node = ms.ms_node in
+  (* The root configuration (no process has a pending operation, so the p_*
+     pending slots may keep stale dummies). *)
   for o = 0 to n_objs - 1 do
-    let q0 = root.objs.(o) in
-    let qc =
-      if q0 == cc.cc_rootvals.(o) then cc.cc_rootcells.(o) else I.intern ist q0
-    in
+    let qc = cc.cc_rootcells.(o) in
     obj_cells.(o) <- qc;
     objs.(o) <- I.value qc;
-    acc.(o) <- 0
+    acc.(o) <- 0;
+    hist.(o) <- []
   done;
   for p = 0 to n_procs - 1 do
-    let pr = root.procs.(p) in
-    todo.(p) <- pr.todo;
-    next_op.(p) <- pr.next_op;
-    local.(p) <- pr.local;
+    todo.(p) <- workloads.(p);
+    next_op.(p) <- 0;
+    local.(p) <- impl.Implementation.local_init p;
     haspend.(p) <- false
   done;
   let events = ref 0 in
   let ops_rev = ref [] in
+  (* Fault state: flag bitmasks and remaining budgets. Staleness histories
+     are kept only for [Stale_reads] objects of a live adversary — an
+     adversary with no fault branching at all ([Faults.is_none]) can never
+     spend them. *)
+  let crashed = ref 0 and stuck = ref 0 in
+  let crashes_left = ref faults.Faults.max_crashes in
+  let recoveries_left = ref faults.Faults.max_recoveries in
+  let glitches_left = ref faults.Faults.max_glitches in
+  let derail = Faults.can_derail faults in
+  let degradation = Array.init n_objs (Faults.degradation_of faults) in
+  let hist_depth =
+    Array.init n_objs (fun o ->
+        if Faults.is_none faults then 0 else Faults.stale_depth faults o)
+  in
   (* Fingerprint cells over the mutable state. [obj_cells] is maintained
      unconditionally — successor cells come for free out of the transition
-     rows and double as the table keys. The per-proc cells only exist once
-     the dedup tables activate ([cells_valid]); a frame decides at entry
-     whether it maintains them ([track] below) and a non-tracking backtrack
-     invalidates the cache for the next probe to rebuild. *)
+     rows and double as the table keys. The per-proc and history cells only
+     exist once the dedup tables activate ([cells_valid]); a frame decides
+     at entry whether it maintains them ([track] below) and a non-tracking
+     backtrack invalidates the cache for the next probe to rebuild. *)
   let hist_cells = ms.ms_hist_cells in
   let proc_cells = ms.ms_proc_cells in
   let ops_cells = ms.ms_ops_cells in
-  let no_flags = ms.ms_no_flags in
   let cells_valid = ref false in
   let cls_at depth =
     let pool = ms.ms_cls in
-    if depth < Array.length pool then (Array.unsafe_get pool (depth))
+    if depth < Array.length pool then Array.unsafe_get pool depth
     else begin
       let len = Array.length pool in
       let pool' =
@@ -1582,6 +897,9 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
       (fun (o : Exec.op) ->
         ops_cells.(o.proc) <- I.pair ist (fp_op_cell ist o) ops_cells.(o.proc))
       (List.rev !ops_rev);
+    for o = 0 to n_objs - 1 do
+      hist_cells.(o) <- fp_hist_cell ist hist.(o)
+    done;
     cells_valid := true
   in
   (* One integer compare per node stands in for the full dedup-activation
@@ -1617,29 +935,43 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
         | None -> -1
       in
       let hi, lo =
-        encode_flat_parts fx ~obj_cells ~hist_cells ~proc_cells ~ops_cells ~acc
-          ~crashed:no_flags ~stuck:no_flags ~events:!events ~crashes_left:0
-          ~recoveries_left:0 ~glitches_left:0 ~sleep ~classes:dd.classes
-          ~tracker_id
+        encode_flat fx ~obj_cells ~hist_cells ~proc_cells ~ops_cells ~acc
+          ~crashed:!crashed ~stuck:!stuck ~events:!events
+          ~crashes_left:!crashes_left ~recoveries_left:!recoveries_left
+          ~glitches_left:!glitches_left ~sleep ~classes:dd.classes ~tracker_id
       in
       flat_mem_or_add fx ~hi ~lo
   in
-  let live_pending_mut () =
+  (* The ⟨proc, target-level invocation⟩ of every live pending operation:
+     invoked, not yet returned, process neither crashed nor stuck. Only these
+     attempts can still complete as-is (a recovery restarts the operation with
+     a fresh invocation), which is what a tracker's early-linearization
+     reasoning depends on. *)
+  let live_pending () =
+    let off = !crashed lor !stuck in
     let out = ref [] in
     for p = n_procs - 1 downto 0 do
-      if haspend.(p) then out := (p, p_inv0.(p)) :: !out
+      if haspend.(p) && off land (1 lsl p) = 0 then
+        out := (p, p_inv0.(p)) :: !out
     done;
     !out
   in
+  let has_work p =
+    Array.unsafe_get haspend p
+    || match Array.unsafe_get todo p with [] -> false | _ :: _ -> true
+  in
+  (* The program node [p] is poised at: its pending continuation, or the
+     top of its next operation. *)
+  let poised p =
+    if Array.unsafe_get haspend p then Array.unsafe_get p_node p
+    else
+      match Array.unsafe_get todo p with
+      | [] -> assert false
+      | inv :: _ -> top_node cc p ~inv ~local:(Array.unsafe_get local p)
+  in
   let classify_into cl p =
-    let fresh = not (Array.unsafe_get haspend (p)) in
-    let node =
-      if fresh then
-        match (Array.unsafe_get todo (p)) with
-        | [] -> assert false
-        | inv :: _ -> top_node cc p ~inv ~local:(Array.unsafe_get local (p))
-      else (Array.unsafe_get p_node (p))
-    in
+    let fresh = not (Array.unsafe_get haspend p) in
+    let node = poised p in
     match node with
     | Program.Return _ ->
       Array.unsafe_set cl.ck p 0;
@@ -1647,7 +979,8 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
     | Program.Invoke { obj; inv; _ } ->
       (* bounds-checked on purpose: validates [obj] for the whole frame *)
       let row =
-        Step_table.row_cells cc.cc_tables.(obj) (Array.unsafe_get obj_cells (obj))
+        Step_table.row_cells cc.cc_tables.(obj)
+          (Array.unsafe_get obj_cells obj)
           ~port:(port_of cc p obj) ~inv
       in
       Array.unsafe_set cl.ck p (if fresh then 2 else 1);
@@ -1655,7 +988,56 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
       Array.unsafe_set cl.crow p row;
       Array.unsafe_set cl.cobj p obj
   in
-  let independent_m cl p q =
+  let disabled p obj inv =
+    let spec, _ = impl.Implementation.objects.(obj) in
+    Type_spec.Bad_step
+      (Fmt.str "proc %d: invocation %a disabled on object %d (%s) in state %a"
+         p Value.pp inv obj spec.Type_spec.name Value.pp objs.(obj))
+  in
+  (* Classify [p] and evaluate every alternative's continuation, so a step
+     that cannot be taken raises here, before any child is entered. *)
+  let classify_all cl p =
+    classify_into cl p;
+    if Array.unsafe_get cl.ck p > 0 then begin
+      let node = Array.unsafe_get cl.cnode p in
+      let row = Array.unsafe_get cl.crow p in
+      (match node with
+      | Program.Invoke { inv; _ } when row.Step_table.n_alts = 0 ->
+        raise (disabled p (Array.unsafe_get cl.cobj p) inv)
+      | _ -> ());
+      for j = 0 to row.Step_table.n_alts - 1 do
+        ignore (Program.step node (I.value row.Step_table.cells.((2 * j) + 1)))
+      done
+    end
+  in
+  (* The glitched responses [p]'s poised access may receive, paired with the
+     object and the continuation each leads to; responses the program cannot
+     decode ([Type_error]) are dropped, so indices count survivors only. *)
+  let glitch_alts p =
+    if !glitches_left <= 0 || not (has_work p) then []
+    else
+      match poised p with
+      | Program.Return _ -> []
+      | Program.Invoke { obj; inv; _ } as node -> (
+        match degradation.(obj) with
+        | None -> []
+        | Some d ->
+          let port = port_of cc p obj in
+          let alts_at qc =
+            try (Step_table.row_cells cc.cc_tables.(obj) qc ~port ~inv).alts
+            with Type_spec.Bad_step _ -> []
+          in
+          Faults.glitch_responses
+            ~alts:(alts_at obj_cells.(obj))
+            ~alts_at:(fun qs -> alts_at (I.intern ist qs))
+            ~q:objs.(obj) ~hist:hist.(obj) d
+          |> List.filter_map (fun r ->
+                 let r = I.value (I.intern ist r) in
+                 match Program.step node r with
+                 | next -> Some (obj, r, next)
+                 | exception Value.Type_error _ -> None))
+  in
+  let independent cl p q =
     Array.unsafe_get cl.ck p > 0
     && Array.unsafe_get cl.ck q > 0
     &&
@@ -1664,23 +1046,37 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
     && (Array.unsafe_get cl.cobj p <> Array.unsafe_get cl.cobj q
        || (rp.Step_table.pure_read && rq.Step_table.pure_read))
   in
+  (* Walk state: the prefix still to replay, the sleep set its last node
+     gets, the depth at which nodes are recorded instead of visited, and the
+     recorded ⟨trace_rev, sleep⟩ pairs, newest first. *)
+  let path = ref [] and target_sleep = ref 0 in
+  let cut_depth = ref max_int and recorded = ref [] in
   (* [cl_par]/[dirty]: the parent frame's classifications and a bitmask of
      processes whose classification may have changed across the parent's
      step. A step by [p] invalidates [p] itself plus (for a base access on
      [obj]) every process whose classified access targets [obj] — all other
      classifications depend only on untouched per-process state and
      untouched objects, so the POR prepass copies them instead of
-     re-resolving rows. Root and non-POR frames pass [-1] (all dirty). *)
+     re-resolving rows. Root, non-POR and fault frames pass [-1] (all
+     dirty). *)
   let rec go cl_par dirty sleep trace_rev st =
-    memcheck ();
-    let mask = ref 0 in
+    match !path with
+    | d :: rest -> replay d rest trace_rev st
+    | [] ->
+      if !events >= !cut_depth then recorded := (trace_rev, sleep) :: !recorded
+      else visit cl_par dirty sleep trace_rev st
+  and visit cl_par dirty sleep trace_rev st =
+    (* a frontier expansion samples memory after the item, not before *)
+    if !cut_depth = max_int then memcheck ();
+    let live = ref 0 in
     for p = n_procs - 1 downto 0 do
-      if
-        (Array.unsafe_get haspend (p))
-        || (match (Array.unsafe_get todo (p)) with [] -> false | _ :: _ -> true)
-      then mask := !mask lor (1 lsl p)
+      if has_work p then live := !live lor (1 lsl p)
     done;
-    let mask = !mask in
+    let live = !live in
+    let mask = live land lnot (!crashed lor !stuck) in
+    let recs =
+      if !recoveries_left > 0 then live land !crashed land lnot !stuck else 0
+    in
     if lim.active then check_limits lim;
     if mask = 0 then begin
       c.leaves <- c.leaves + 1;
@@ -1702,117 +1098,142 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
             accesses = Array.copy acc;
           }
           st
-    end
-    else if !events >= fuel then begin
-      c.overflows <- c.overflows + 1;
-      if c.overflow_trace = None then
-        c.overflow_trace <- Some (List.rev trace_rev)
-    end
-    else if c.nodes >= !probe_floor && probe sleep st then
-      c.pruned <- c.pruned + 1
-    else begin
-      (* Under POR every runnable process is classified up front (the
-         independence relation needs all of them); without POR each process
-         is classified right before expansion, preserving the interpreter's
-         evaluation order for any exception a spec may raise. *)
-      let cl = cls_at !events in
-      if opts.por then
-        for p = 0 to n_procs - 1 do
-          if mask land (1 lsl p) <> 0 then
-            if dirty land (1 lsl p) <> 0 then classify_into cl p
-            else begin
-              Array.unsafe_set cl.ck p (Array.unsafe_get cl_par.ck p);
-              Array.unsafe_set cl.cnode p (Array.unsafe_get cl_par.cnode p);
-              Array.unsafe_set cl.crow p (Array.unsafe_get cl_par.crow p);
-              Array.unsafe_set cl.cobj p (Array.unsafe_get cl_par.cobj p)
-            end
-        done;
-      let explored = ref 0 in
+    end;
+    (* a node with no enabled process is a leaf even when recoveries remain *)
+    if mask <> 0 || recs <> 0 then
+      if !events >= fuel then begin
+        if mask <> 0 then begin
+          c.overflows <- c.overflows + 1;
+          if c.overflow_trace = None then
+            c.overflow_trace <- Some (List.rev trace_rev)
+        end
+      end
+      else if c.nodes >= !probe_floor && probe sleep st then
+        c.pruned <- c.pruned + 1
+      else expand cl_par dirty mask recs sleep trace_rev st
+  and expand cl_par dirty mask recs sleep trace_rev st =
+    (* Under POR every runnable process is classified up front (the
+       independence relation needs all of them); without POR each process is
+       classified right before expansion. *)
+    let cl = cls_at !events in
+    if opts.por then
       for p = 0 to n_procs - 1 do
-        if mask land (1 lsl p) <> 0 then begin
-          if sleep land (1 lsl p) <> 0 then
-            c.sleep_skips <- c.sleep_skips + 1
+        if mask land (1 lsl p) <> 0 then
+          if dirty land (1 lsl p) <> 0 then classify_into cl p
           else begin
-            let child_sleep =
-              if not opts.por then 0
-              else begin
-                let earlier = sleep lor !explored in
-                let s = ref 0 in
-                for q = 0 to n_procs - 1 do
-                  if
-                    q <> p
-                    && mask land (1 lsl q) <> 0
-                    && earlier land (1 lsl q) <> 0
-                    && independent_m cl p q
-                  then s := !s lor (1 lsl q)
-                done;
-                !s
-              end
-            in
-            if not opts.por then classify_into cl p;
-            (match Array.unsafe_get cl.ck p with
-            | 0 ->
-              ret_child p cl
-                (if opts.por then 1 lsl p else -1)
-                (Array.unsafe_get cl.cnode p)
-                child_sleep trace_rev st
-            | k ->
-              let node = Array.unsafe_get cl.cnode p in
-              let row = Array.unsafe_get cl.crow p in
-              let obj = Array.unsafe_get cl.cobj p in
-              let fresh = k = 2 in
-              let child_dirty =
-                if not opts.por then -1
-                else begin
-                  let d = ref (1 lsl p) in
-                  for q = 0 to n_procs - 1 do
-                    if
-                      mask land (1 lsl q) <> 0
-                      && Array.unsafe_get cl.ck q > 0
-                      && Array.unsafe_get cl.cobj q = obj
-                    then d := !d lor (1 lsl q)
-                  done;
-                  !d
-                end
-              in
-              let n_alts = row.Step_table.n_alts in
-              if n_alts = 0 then begin
-                match node with
-                | Program.Invoke { inv; _ } ->
-                  let spec, _ = impl.Implementation.objects.(obj) in
-                  raise
-                    (Type_spec.Bad_step
-                       (Fmt.str
-                          "proc %d: invocation %a disabled on object %d (%s) \
-                           in state %a"
-                          p Value.pp inv obj spec.Type_spec.name Value.pp
-                          objs.(obj)))
-                | Program.Return _ -> assert false
-              end;
-              let cells = row.Step_table.cells in
-              for j = 0 to n_alts - 1 do
-                let qc = (Array.unsafe_get cells (2 * j)) in
-                acc_child p cl child_dirty node fresh obj qc (I.value qc)
-                  (I.value (Array.unsafe_get cells ((2 * j) + 1)))
-                  j child_sleep trace_rev st
-              done);
-            explored := !explored lor (1 lsl p)
+            Array.unsafe_set cl.ck p (Array.unsafe_get cl_par.ck p);
+            Array.unsafe_set cl.cnode p (Array.unsafe_get cl_par.cnode p);
+            Array.unsafe_set cl.crow p (Array.unsafe_get cl_par.crow p);
+            Array.unsafe_set cl.cobj p (Array.unsafe_get cl_par.cobj p)
           end
+      done;
+    let explored = ref 0 in
+    for p = 0 to n_procs - 1 do
+      if mask land (1 lsl p) <> 0 then begin
+        if sleep land (1 lsl p) <> 0 then c.sleep_skips <- c.sleep_skips + 1
+        else begin
+          let child_sleep =
+            if not opts.por then 0
+            else begin
+              let earlier = sleep lor !explored in
+              let s = ref 0 in
+              for q = 0 to n_procs - 1 do
+                if
+                  q <> p
+                  && mask land (1 lsl q) <> 0
+                  && earlier land (1 lsl q) <> 0
+                  && independent cl p q
+                then s := !s lor (1 lsl q)
+              done;
+              !s
+            end
+          in
+          (if not derail then begin
+             if not opts.por then classify_into cl p;
+             steps p cl mask child_sleep trace_rev st
+           end
+           else
+             match classify_all cl p with
+             | () -> steps p cl mask child_sleep trace_rev st
+             | exception (Type_spec.Bad_step _ | Value.Type_error _) ->
+               c.nodes <- c.nodes + 1;
+               wedge_child p cl trace_rev st);
+          if !glitches_left > 0 then
+            List.iteri
+              (fun i (obj, r, next) ->
+                c.nodes <- c.nodes + 1;
+                acc_child p cl (-1) (not haspend.(p)) obj obj_cells.(obj) next r
+                  { Faults.proc = p; kind = Faults.Glitch i } 1 0 trace_rev st)
+              (glitch_alts p);
+          if !crashes_left > 0 then begin
+            c.nodes <- c.nodes + 1;
+            crash_child p cl trace_rev st
+          end;
+          explored := !explored lor (1 lsl p)
+        end
+      end
+    done;
+    if recs <> 0 then
+      for p = 0 to n_procs - 1 do
+        if recs land (1 lsl p) <> 0 then begin
+          c.nodes <- c.nodes + 1;
+          recover_child p cl trace_rev st
         end
       done
-    end
+  (* The step children of classified process [p]. *)
+  and steps p cl mask child_sleep trace_rev st =
+    match Array.unsafe_get cl.ck p with
+    | 0 ->
+      c.nodes <- c.nodes + 1;
+      ret_child p cl
+        (if opts.por then 1 lsl p else -1)
+        (Array.unsafe_get cl.cnode p)
+        child_sleep trace_rev st
+    | k ->
+      let node = Array.unsafe_get cl.cnode p in
+      let row = Array.unsafe_get cl.crow p in
+      let obj = Array.unsafe_get cl.cobj p in
+      let child_dirty =
+        if not opts.por then -1
+        else begin
+          let d = ref (1 lsl p) in
+          for q = 0 to n_procs - 1 do
+            if
+              mask land (1 lsl q) <> 0
+              && Array.unsafe_get cl.ck q > 0
+              && Array.unsafe_get cl.cobj q = obj
+            then d := !d lor (1 lsl q)
+          done;
+          !d
+        end
+      in
+      let n_alts = row.Step_table.n_alts in
+      if n_alts = 0 then begin
+        match node with
+        | Program.Invoke { inv; _ } -> raise (disabled p obj inv)
+        | Program.Return _ -> assert false
+      end;
+      let cells = row.Step_table.cells in
+      for j = 0 to n_alts - 1 do
+        c.nodes <- c.nodes + 1;
+        let resp = I.value (Array.unsafe_get cells ((2 * j) + 1)) in
+        acc_child p cl child_dirty (k = 2) obj
+          (Array.unsafe_get cells (2 * j))
+          (Program.step node resp) resp (dec p j) 0 child_sleep trace_rev st
+      done
   (* A fresh operation whose program returns without touching a base object:
      one completion child, no object mutation. *)
   and ret_child p cl child_dirty node child_sleep trace_rev st =
     match node with
     | Program.Invoke _ -> assert false
     | Program.Return (resp, local') ->
-      c.nodes <- c.nodes + 1;
       let tr = dec p 0 :: trace_rev in
-      let s_todo = (Array.unsafe_get todo (p)) in
-      let s_nextop = (Array.unsafe_get next_op (p)) and s_local = (Array.unsafe_get local (p)) in
+      let s_todo = Array.unsafe_get todo p in
+      let s_nextop = Array.unsafe_get next_op p
+      and s_local = Array.unsafe_get local p in
       let s_ops = !ops_rev in
-      let s_opsc = (Array.unsafe_get ops_cells (p)) and s_pc = (Array.unsafe_get proc_cells (p)) in
+      let s_opsc = Array.unsafe_get ops_cells p
+      and s_pc = Array.unsafe_get proc_cells p in
       let track = !cells_valid in
       let inv0, todo' =
         match s_todo with inv :: tl -> (inv, tl) | [] -> assert false
@@ -1829,9 +1250,9 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
         }
       in
       ops_rev := op :: s_ops;
-      Array.unsafe_set todo (p) (todo');
-      Array.unsafe_set next_op (p) (s_nextop + 1);
-      Array.unsafe_set local (p) (local');
+      Array.unsafe_set todo p todo';
+      Array.unsafe_set next_op p (s_nextop + 1);
+      Array.unsafe_set local p local';
       if track then begin
         ops_cells.(p) <- I.pair ist (fp_op_cell ist op) s_opsc;
         proc_cells.(p) <- mut_proc_cell p
@@ -1840,48 +1261,69 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
       let st' =
         if user_tracker then
           t.event st ~trace_rev:tr
-            (Op_completed { op; pending = live_pending_mut () })
+            (Op_completed { op; pending = live_pending () })
         else st
       in
       go cl child_dirty child_sleep tr st';
       decr events;
       ops_rev := s_ops;
-      Array.unsafe_set todo (p) (s_todo);
-      Array.unsafe_set next_op (p) (s_nextop);
-      Array.unsafe_set local (p) (s_local);
+      Array.unsafe_set todo p s_todo;
+      Array.unsafe_set next_op p s_nextop;
+      Array.unsafe_set local p s_local;
       if track then begin
-        Array.unsafe_set ops_cells (p) (s_opsc);
-        Array.unsafe_set proc_cells (p) (s_pc)
+        Array.unsafe_set ops_cells p s_opsc;
+        Array.unsafe_set proc_cells p s_pc
       end
       else cells_valid := false
-  (* One base access: apply the row's alternative [j] in place, advance the
-     program through the response memo, recurse, restore. *)
-  and acc_child p cl child_dirty node fresh obj qc q' resp j child_sleep
+  (* One base access by [p] on [obj] along decision [d]: the object moves to
+     cell [qc] (a glitch passes the current cell — degraded reads never
+     mutate), the program to [next] on response [resp], and [gl] glitches
+     are spent; recurse, restore. *)
+  and acc_child p cl child_dirty fresh obj qc next resp d gl child_sleep
       trace_rev st =
-    c.nodes <- c.nodes + 1;
-    let tr = dec p j :: trace_rev in
-    let s_q = (Array.unsafe_get objs (obj)) and s_qc = (Array.unsafe_get obj_cells (obj)) in
-    let s_todo = (Array.unsafe_get todo (p)) in
-    let s_nextop = (Array.unsafe_get next_op (p)) and s_local = (Array.unsafe_get local (p)) in
-    let s_haspend = (Array.unsafe_get haspend (p)) and s_inv0 = (Array.unsafe_get p_inv0 (p)) in
-    let s_opidx = (Array.unsafe_get p_opidx (p)) and s_started = (Array.unsafe_get p_started (p)) in
-    let s_steps = (Array.unsafe_get p_steps (p)) and s_resps = (Array.unsafe_get p_resps (p)) in
-    let s_node = (Array.unsafe_get p_node (p)) in
+    let tr = d :: trace_rev in
+    let s_q = Array.unsafe_get objs obj
+    and s_qc = Array.unsafe_get obj_cells obj in
+    let s_hist = Array.unsafe_get hist obj
+    and s_hc = Array.unsafe_get hist_cells obj in
+    let s_todo = Array.unsafe_get todo p in
+    let s_nextop = Array.unsafe_get next_op p
+    and s_local = Array.unsafe_get local p in
+    let s_haspend = Array.unsafe_get haspend p
+    and s_inv0 = Array.unsafe_get p_inv0 p in
+    let s_opidx = Array.unsafe_get p_opidx p
+    and s_started = Array.unsafe_get p_started p in
+    let s_steps = Array.unsafe_get p_steps p
+    and s_resps = Array.unsafe_get p_resps p in
+    let s_node = Array.unsafe_get p_node p in
     let s_ops = !ops_rev in
-    let s_opsc = (Array.unsafe_get ops_cells (p)) and s_pc = (Array.unsafe_get proc_cells (p)) in
+    let s_opsc = Array.unsafe_get ops_cells p
+    and s_pc = Array.unsafe_get proc_cells p in
     let track = !cells_valid in
     let inv0, op_index, started, steps_done, resps_rev =
       if fresh then
-        ((match s_todo with inv :: _ -> inv | [] -> assert false),
-         s_nextop, !events, 0, [])
+        ( (match s_todo with inv :: _ -> inv | [] -> assert false),
+          s_nextop,
+          !events,
+          0,
+          [] )
       else (s_inv0, s_opidx, s_started, s_steps, s_resps)
     in
-    Array.unsafe_set objs (obj) (q');
-    Array.unsafe_set obj_cells (obj) (qc);
-    Array.unsafe_set acc (obj) ((Array.unsafe_get acc (obj)) + 1);
+    if qc != s_qc then begin
+      Array.unsafe_set objs obj (I.value qc);
+      Array.unsafe_set obj_cells obj qc;
+      let depth = Array.unsafe_get hist_depth obj in
+      if depth > 0 then begin
+        let h = List.filteri (fun i _ -> i < depth) (s_q :: s_hist) in
+        Array.unsafe_set hist obj h;
+        if track then Array.unsafe_set hist_cells obj (fp_hist_cell ist h)
+      end
+    end;
+    Array.unsafe_set acc obj (Array.unsafe_get acc obj + 1);
+    glitches_left := !glitches_left - gl;
     if fresh then
-      Array.unsafe_set todo (p) ((match s_todo with _ :: tl -> tl | [] -> assert false));
-    let next = Program.step node resp in
+      Array.unsafe_set todo p
+        (match s_todo with _ :: tl -> tl | [] -> assert false);
     let completed =
       match next with
       | Program.Return (res, local') ->
@@ -1897,20 +1339,20 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
           }
         in
         ops_rev := op :: s_ops;
-        Array.unsafe_set haspend (p) (false);
-        Array.unsafe_set next_op (p) (op_index + 1);
-        Array.unsafe_set local (p) (local');
+        Array.unsafe_set haspend p false;
+        Array.unsafe_set next_op p (op_index + 1);
+        Array.unsafe_set local p local';
         if track then
-          Array.unsafe_set ops_cells (p) (I.pair ist (fp_op_cell ist op) s_opsc);
+          Array.unsafe_set ops_cells p (I.pair ist (fp_op_cell ist op) s_opsc);
         Some op
       | Program.Invoke _ ->
-        Array.unsafe_set haspend (p) (true);
-        Array.unsafe_set p_inv0 (p) (inv0);
-        Array.unsafe_set p_opidx (p) (op_index);
-        Array.unsafe_set p_started (p) (started);
-        Array.unsafe_set p_steps (p) (steps_done + 1);
-        Array.unsafe_set p_resps (p) (resp :: resps_rev);
-        Array.unsafe_set p_node (p) (next);
+        Array.unsafe_set haspend p true;
+        Array.unsafe_set p_inv0 p inv0;
+        Array.unsafe_set p_opidx p op_index;
+        Array.unsafe_set p_started p started;
+        Array.unsafe_set p_steps p (steps_done + 1);
+        Array.unsafe_set p_resps p (resp :: resps_rev);
+        Array.unsafe_set p_node p next;
         None
     in
     if track then Array.unsafe_set proc_cells p (mut_proc_cell p);
@@ -1919,47 +1361,159 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
       match completed with
       | Some op when user_tracker ->
         t.event st ~trace_rev:tr
-          (Op_completed { op; pending = live_pending_mut () })
+          (Op_completed { op; pending = live_pending () })
       | _ -> st
     in
     go cl child_dirty child_sleep tr st';
     decr events;
-    Array.unsafe_set objs (obj) (s_q);
-    Array.unsafe_set obj_cells (obj) (s_qc);
-    Array.unsafe_set acc (obj) ((Array.unsafe_get acc (obj)) - 1);
-    Array.unsafe_set todo (p) (s_todo);
-    Array.unsafe_set next_op (p) (s_nextop);
-    Array.unsafe_set local (p) (s_local);
-    Array.unsafe_set haspend (p) (s_haspend);
-    Array.unsafe_set p_inv0 (p) (s_inv0);
-    Array.unsafe_set p_opidx (p) (s_opidx);
-    Array.unsafe_set p_started (p) (s_started);
-    Array.unsafe_set p_steps (p) (s_steps);
-    Array.unsafe_set p_resps (p) (s_resps);
-    Array.unsafe_set p_node (p) (s_node);
+    Array.unsafe_set objs obj s_q;
+    Array.unsafe_set obj_cells obj s_qc;
+    Array.unsafe_set hist obj s_hist;
+    Array.unsafe_set hist_cells obj s_hc;
+    Array.unsafe_set acc obj (Array.unsafe_get acc obj - 1);
+    glitches_left := !glitches_left + gl;
+    Array.unsafe_set todo p s_todo;
+    Array.unsafe_set next_op p s_nextop;
+    Array.unsafe_set local p s_local;
+    Array.unsafe_set haspend p s_haspend;
+    Array.unsafe_set p_inv0 p s_inv0;
+    Array.unsafe_set p_opidx p s_opidx;
+    Array.unsafe_set p_started p s_started;
+    Array.unsafe_set p_steps p s_steps;
+    Array.unsafe_set p_resps p s_resps;
+    Array.unsafe_set p_node p s_node;
     ops_rev := s_ops;
     if track then begin
-      Array.unsafe_set ops_cells (p) (s_opsc);
-      Array.unsafe_set proc_cells (p) (s_pc)
+      Array.unsafe_set ops_cells p s_opsc;
+      Array.unsafe_set proc_cells p s_pc
     end
     else cells_valid := false
+  (* [p] halts mid-operation; its pending attempt stays pending. *)
+  and crash_child p cl trace_rev st =
+    let tr = { Faults.proc = p; kind = Faults.Crash } :: trace_rev in
+    crashed := !crashed lor (1 lsl p);
+    decr crashes_left;
+    incr events;
+    let st' =
+      if user_tracker then t.event st ~trace_rev:tr (Proc_crashed p) else st
+    in
+    go cl (-1) 0 tr st';
+    decr events;
+    incr crashes_left;
+    crashed := !crashed land lnot (1 lsl p)
+  (* [p] stepped off its envelope and is stuck forever. *)
+  and wedge_child p cl trace_rev st =
+    let tr = { Faults.proc = p; kind = Faults.Wedge } :: trace_rev in
+    stuck := !stuck lor (1 lsl p);
+    incr events;
+    let st' =
+      if user_tracker then t.event st ~trace_rev:tr (Proc_wedged p) else st
+    in
+    go cl (-1) 0 tr st';
+    decr events;
+    stuck := !stuck land lnot (1 lsl p)
+  (* A crashed [p] comes back and restarts its interrupted operation from
+     scratch, against whatever state the objects are in now. *)
+  and recover_child p cl trace_rev st =
+    let tr = { Faults.proc = p; kind = Faults.Recover } :: trace_rev in
+    let s_todo = todo.(p) and s_haspend = haspend.(p) in
+    let s_pc = proc_cells.(p) in
+    let track = !cells_valid in
+    crashed := !crashed land lnot (1 lsl p);
+    decr recoveries_left;
+    incr events;
+    if s_haspend then begin
+      todo.(p) <- p_inv0.(p) :: s_todo;
+      haspend.(p) <- false;
+      if track then proc_cells.(p) <- mut_proc_cell p
+    end;
+    go cl (-1) 0 tr st;
+    decr events;
+    incr recoveries_left;
+    crashed := !crashed lor (1 lsl p);
+    todo.(p) <- s_todo;
+    haspend.(p) <- s_haspend;
+    if track then proc_cells.(p) <- s_pc
+    else if s_haspend then cells_valid := false
+  (* Follow decision [d] of the prefix being replayed through the same edges
+     the search takes, without counting or probing anything. *)
+  and replay d rest trace_rev st =
+    path := rest;
+    let fail fmt = Fmt.kstr (fun s -> raise (Replay_error s)) fmt in
+    let p = d.Faults.proc in
+    if p < 0 || p >= n_procs then fail "replay: no process p%d" p;
+    let sleep = match rest with [] -> !target_sleep | _ :: _ -> 0 in
+    let cl = cls_at !events in
+    match d.Faults.kind with
+    | Faults.Step i -> (
+      if not (has_work p) then
+        fail "replay: p%d has no step alternative %d" p i;
+      (match classify_all cl p with
+      | () -> ()
+      | exception (Type_spec.Bad_step _ | Value.Type_error _) ->
+        fail "replay: p%d cannot step" p);
+      match cl.ck.(p) with
+      | 0 ->
+        if i <> 0 then fail "replay: p%d has no step alternative %d" p i;
+        ret_child p cl (-1) cl.cnode.(p) sleep trace_rev st
+      | k ->
+        let row = cl.crow.(p) in
+        if i < 0 || i >= row.Step_table.n_alts then
+          fail "replay: p%d has no step alternative %d" p i;
+        let resp = I.value row.Step_table.cells.((2 * i) + 1) in
+        acc_child p cl (-1) (k = 2) cl.cobj.(p)
+          row.Step_table.cells.(2 * i)
+          (Program.step cl.cnode.(p) resp)
+          resp d 0 sleep trace_rev st)
+    | Faults.Glitch i -> (
+      match List.nth_opt (glitch_alts p) i with
+      | Some (obj, r, next) ->
+        acc_child p cl (-1) (not haspend.(p)) obj obj_cells.(obj) next r d 1
+          sleep trace_rev st
+      | None -> fail "replay: p%d has no glitch alternative %d" p i)
+    | Faults.Crash ->
+      if
+        !crashes_left > 0 && has_work p
+        && (!crashed lor !stuck) land (1 lsl p) = 0
+      then crash_child p cl trace_rev st
+      else fail "replay: p%d cannot crash here" p
+    | Faults.Recover ->
+      if
+        !recoveries_left > 0 && has_work p
+        && !crashed land (1 lsl p) <> 0
+        && !stuck land (1 lsl p) = 0
+      then recover_child p cl trace_rev st
+      else fail "replay: p%d cannot recover here" p
+    | Faults.Wedge -> wedge_child p cl trace_rev st
   in
-  go (cls_at 0) (-1) 0 [] t.root;
-  cc.cc_pool <- Some ms
+  let walk prefix ~sleep ~cut =
+    path := prefix;
+    target_sleep := sleep;
+    cut_depth := cut;
+    recorded := [];
+    go (cls_at 0) (-1) (match prefix with [] -> sleep | _ :: _ -> 0) [] t.root;
+    cut_depth := max_int;
+    let r = !recorded in
+    recorded := [];
+    List.rev_map (fun (tr, s) -> (List.rev tr, s)) r
+  in
+  { walk; release = (fun () -> cc.cc_pool <- Some ms) }
 
 (* Physically recognizable defaults: when the caller supplied no leaf
-   consumer (and no tracker), the compiled kernel can skip materializing
-   leaf records entirely. *)
+   consumer (and no tracker), the kernel can skip materializing leaf records
+   entirely. *)
 let no_on_leaf (_ : Exec.leaf) = ()
 let no_on_leaf_trace (_ : Faults.trace) (_ : Exec.leaf) = ()
 
-let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
+let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
     ?budget ?deadline_s ?(options = naive)
     ?(dedup_threshold = default_dedup_threshold)
     ?(bloom_bits_log2 = Fingerprint.Bloom.default_bits_log2) ?tracker
     ?(on_leaf = no_on_leaf) ?(on_leaf_trace = no_on_leaf_trace)
     ?checkpoint ?(checkpoint_meta = []) ?resume_from ?interrupt ?mem_budget_mb
     () =
+  if Array.length workloads <> impl.Implementation.procs then
+    invalid_arg "Explore: workloads length must equal impl.procs";
   let user_tracker = Option.is_some tracker in
   let ckpt_armed = Option.is_some checkpoint || Option.is_some resume_from in
   if user_tracker && ckpt_armed then
@@ -1969,7 +1523,6 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
   let (Tracker t) =
     match tracker with Some t -> Tracker t | None -> Tracker null_tracker
   in
-  let faults = resolve_faults ?faults ~max_crashes () in
   (match resume_from with
   | Some ck -> (
     match
@@ -2030,28 +1583,18 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
     on_leaf_trace (List.rev trace_rev) leaf;
     t.at_leaf st ~trace_rev leaf
   in
-  let root = with_faults (initial_cfg impl ~workloads) faults in
-  let rec go cfg sleep trace_rev st fpcur =
-    memcheck ();
-    visit impl opts ~fuel ~dd ~lim ~t c emit_leaf ~recurse:go cfg sleep
-      trace_rev st fpcur
+  let want_leaf =
+    user_tracker || on_leaf != no_on_leaf || on_leaf_trace != no_on_leaf_trace
+  in
+  let k =
+    kernel impl ~workloads ~faults ~opts ~fuel ~dd ~lim ~t ~user_tracker
+      ~want_leaf c ~emit_leaf ~memcheck
   in
   if not ckpt_armed then begin
-    (try
-       if Faults.is_none faults then
-         (* The compiled kernel walks the same tree with the same counters
-            and dedup decisions as [visit]; fault branching still needs the
-            interpreter — see the kernel's header comment. *)
-         let want_leaf =
-           user_tracker || on_leaf != no_on_leaf
-           || on_leaf_trace != no_on_leaf_trace
-         in
-         run_compiled impl ~opts ~fuel ~dd ~lim ~t ~user_tracker ~want_leaf c
-           ~emit_leaf ~memcheck root
-       else go root 0 [] t.root None
-     with
-    | Exec.Stop -> trip lim Stopped
-    | Cut -> ());
+    (match k.walk [] ~sleep:0 ~cut:max_int with
+    | _ -> k.release ()
+    | exception Exec.Stop -> trip lim Stopped
+    | exception Cut -> ());
     stats_of c ~lim
   end
   else begin
@@ -2059,7 +1602,24 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
        explicit frontier of pending subtrees to serialize; a resume starts
        from one). Expand the top of the tree breadth-first until the
        frontier is wide enough, then drain frontier subtrees in order.
-       Leaves met during expansion are processed inline. *)
+       Leaves met during expansion are processed inline. An item is a
+       decision-trace prefix plus the sleep set its node is explored
+       under. *)
+    let roots =
+      match resume_from with
+      | None -> [ ([], 0) ]
+      | Some ck ->
+        (* Sleep sets are not serialized; resumed roots restart with an
+           empty one, which is sound (sleep only ever skips). Every prefix
+           is checked to replay before any is explored. *)
+        List.map
+          (fun trace ->
+            match k.walk trace ~sleep:0 ~cut:(List.length trace) with
+            | _ -> (trace, 0)
+            | exception Replay_error e ->
+              invalid_arg ("Explore.run: cannot resume: " ^ e))
+          ck.Checkpoint.frontier
+    in
     (match resume_from with
     | Some ck -> add_counts c ck.Checkpoint.counts
     | None -> ());
@@ -2087,28 +1647,13 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
         save_ck (remaining ())
       | _ -> ()
     in
-    let trace_of_item (_, _, tr, _, _) = List.rev tr in
-    let roots =
-      match resume_from with
-      | None -> [ (root, 0, [], t.root, None) ]
-      | Some ck ->
-        (* Re-materialize each frontier root by replaying its decision-trace
-           prefix. Sleep sets are not serialized; resumed roots restart with
-           an empty one, which is sound (sleep only ever skips). *)
-        List.map
-          (fun trace ->
-            match replay_prefix impl root trace with
-            | Ok (cfg, trace_rev) -> (cfg, 0, trace_rev, t.root, None)
-            | Error e -> invalid_arg ("Explore.run: cannot resume: " ^ e))
-          ck.Checkpoint.frontier
-    in
     (* The frontier is the unit of checkpoint progress, so finer granularity
        means a resumed segment can finish items (and shrink the checkpoint)
        sooner. When a memory budget is armed, expand wider still: everything
        beyond a small in-RAM window is spilled to disk below, so a wide
        frontier costs a few text lines in a temp file, not heap — and gives
        the watchdogged run fine-grained work units. *)
-    let spill_armed = Option.is_some mem_budget_mb && not user_tracker in
+    let spill_armed = Option.is_some mem_budget_mb in
     let target = if spill_armed then 256 else 16 in
     let cut = ref false in
     let pending_expansion = ref None in
@@ -2120,21 +1665,17 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
          let next = ref [] in
          let rest = ref !frontier in
          while !rest <> [] do
-           let ((cfg, sleep, trace_rev, st, fpcur) as item) = List.hd !rest in
+           let ((trace, sleep) as item) = List.hd !rest in
            rest := List.tl !rest;
-           let before = !next in
-           (try
-              visit impl opts ~fuel ~dd ~lim ~t c emit_leaf
-                ~recurse:(fun cfg' sleep' trace_rev' st' fpcur' ->
-                  next := (cfg', sleep', trace_rev', st', fpcur') :: !next)
-                cfg sleep trace_rev st fpcur
-            with e ->
-              (* Keep the in-flight item whole in the checkpoint and drop its
-                 partial children — they would otherwise be explored twice on
-                 resume. Children of items already finished this level stay. *)
-              let rec strip l = if l == before then l else strip (List.tl l) in
-              pending_expansion := Some ((item :: !rest) @ strip !next);
-              raise e);
+           (match k.walk trace ~sleep ~cut:(List.length trace + 1) with
+           | kids -> next := List.rev_append kids !next
+           | exception e ->
+             (* Keep the in-flight item whole in the checkpoint — its
+                partial children would otherwise be explored twice on
+                resume. Children of items already finished this level
+                stay. *)
+             pending_expansion := Some ((item :: !rest) @ !next);
+             raise e);
            memcheck ()
          done;
          frontier := List.rev !next
@@ -2146,22 +1687,18 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
     | Cut -> cut := true);
     if !cut then begin
       (match !pending_expansion with
-      | Some items -> save_ck (List.map trace_of_item items)
-      | None -> save_ck (List.map trace_of_item !frontier));
+      | Some items -> save_ck (List.map fst items)
+      | None -> save_ck (List.map fst !frontier));
       stats_of c ~lim
     end
     else begin
       let work = Array.of_list !frontier in
       let n_items = Array.length work in
       (* Two-tier frontier: items beyond a small in-RAM window are demoted
-         to their decision-trace prefix — one line in a disk spill file,
-         exactly the representation checkpoints use — and their materialized
-         configuration, tracker state, sleep set and fingerprint cache are
-         dropped. Taking a demoted item re-reads the line and replays the
-         prefix (the resume path); sleep sets restart empty, which is sound.
-         Only armed together with the memory watchdog, and never under a
-         user tracker (tracker state cannot be re-derived from a trace
-         without replaying events the engine does not retain). *)
+         to their decision-trace prefix in a disk spill file — exactly the
+         representation checkpoints use — and their sleep set is dropped.
+         Taking a demoted item re-reads the line; sleep sets restart empty,
+         which is sound. Only armed together with the memory watchdog. *)
       let spill_window = 16 in
       let spill =
         if spill_armed && n_items > spill_window then Some (Frontier.create ())
@@ -2170,44 +1707,36 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
       let spill_handle = Array.make (max 1 n_items) None in
       (match spill with
       | Some sp ->
-        let dummy = (root, 0, [], t.root, None) in
         for i = spill_window to n_items - 1 do
-          spill_handle.(i) <- Some (Frontier.append sp (trace_of_item work.(i)));
-          work.(i) <- dummy
+          spill_handle.(i) <- Some (Frontier.append sp (fst work.(i)));
+          work.(i) <- ([], 0)
         done;
         c.spilled <- c.spilled + Frontier.spilled sp
       | None -> ());
-      let item_trace i =
-        match spill_handle.(i) with
-        | None -> trace_of_item work.(i)
-        | Some (off, len) -> (
-          match Frontier.read (Option.get spill) ~off ~len with
-          | Ok trace -> trace
-          | Error e -> failwith ("Explore: frontier spill: " ^ e))
-      in
       let item i =
         match spill_handle.(i) with
         | None -> work.(i)
         | Some (off, len) -> (
           match Frontier.read (Option.get spill) ~off ~len with
-          | Error e -> failwith ("Explore: frontier spill: " ^ e)
-          | Ok trace -> (
-            match replay_prefix impl root trace with
-            | Ok (cfg, trace_rev) -> (cfg, 0, trace_rev, t.root, None)
-            | Error e -> failwith ("Explore: frontier spill: " ^ e)))
+          | Ok trace -> (trace, 0)
+          | Error e -> failwith ("Explore: frontier spill: " ^ e))
       in
       (* Items before [drained] are finished; a checkpoint holds the rest. *)
       let drained = ref 0 in
       let remaining_traces () =
-        List.init (n_items - !drained) (fun k -> item_trace (!drained + k))
+        List.init (n_items - !drained) (fun j -> fst (item (!drained + j)))
       in
       (try
          while !drained < n_items do
-           let cfg, sleep, trace_rev, st, fpcur = item !drained in
-           go cfg sleep trace_rev st fpcur;
+           let trace, sleep = item !drained in
+           (match k.walk trace ~sleep ~cut:max_int with
+           | _ -> ()
+           | exception Replay_error e ->
+             failwith ("Explore: frontier spill: " ^ e));
            incr drained;
            maybe_save remaining_traces
-         done
+         done;
+         k.release ()
        with
       | Exec.Stop ->
         trip lim Stopped;

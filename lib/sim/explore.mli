@@ -34,17 +34,19 @@
       independence check and child generation;
     - {b process-symmetry reduction} ([symmetry]): see {!Symmetry}.
 
-    {b Engine paths.} Which code walks the tree follows from the run's
-    inputs, not from an option. A run with no checkpoint, no resume and no
-    fault branching uses the compiled kernel: one mutable configuration with
-    an undo log, base-object steps answered from lazily compiled
-    {!Wfc_spec.Step_table} transition tables, and program continuations
-    memoized per ⟨node, response⟩ via {!Wfc_program.Program.step}. Every
-    other run — fault adversaries, checkpointed or resumed runs — uses the
-    interpreter over persistent configurations. Both walk the same tree
-    with the same counters and pruning decisions, depth-first on the
-    calling domain. Parallel verification runs whole subtrees on worker
-    processes instead ([wfc serve --workers]; see [Wfc_fleet]).
+    {b One engine.} Every run — naive or reduced, with or without a fault
+    adversary, direct or checkpointed, resumed or spilled — is walked by the
+    same compiled kernel: one mutable configuration with an undo log,
+    base-object steps answered from lazily compiled {!Wfc_spec.Step_table}
+    transition tables, and program continuations memoized per ⟨node,
+    response⟩ via {!Wfc_program.Program.step}. Fault adversaries add crash,
+    recovery, wedge and glitch children to that walk. Frontier mode
+    (checkpoint or resume) drives the kernel over decision-trace prefixes:
+    each frontier item is replayed through the kernel's own transitions and
+    then expanded one level or explored to the bottom. The walk is
+    depth-first on the calling domain; parallel verification runs whole
+    subtrees on worker processes instead ([wfc serve --workers]; see
+    [Wfc_fleet]). {!Exec.explore} stays the independent naive oracle.
 
     {b Soundness envelope.} Both reductions preserve the {e set of
     timing-insensitive leaf observations}: final object states, final locals,
@@ -57,7 +59,7 @@
     leaves/nodes visited. Callers whose leaf predicate reads timestamps
     (linearizability, safeness/regularity of registers) must keep
     [dedup = false] and [por = false]. POR is additionally switched off
-    automatically when [max_crashes > 0] (a crash is a per-process
+    automatically under any fault adversary (a crash is a per-process
     transition the sleep-set rule does not commute). *)
 
 open Wfc_program
@@ -243,7 +245,6 @@ val run :
   Implementation.t ->
   workloads:Value.t list array ->
   ?fuel:int ->
-  ?max_crashes:int ->
   ?faults:Faults.t ->
   ?budget:int ->
   ?deadline_s:float ->
@@ -261,7 +262,7 @@ val run :
   unit ->
   stats
 (** Drop-in replacement for {!Exec.explore} (defaults: [fuel = 10_000],
-    [max_crashes = 0], [options = naive]). [on_leaf] may raise {!Exec.Stop}
+    [faults = Faults.none], [options = naive]). [on_leaf] may raise {!Exec.Stop}
     to abort early; statistics then reflect the explored prefix
     ([completeness = Partial Stopped]). Any other exception raised by
     [on_leaf] aborts the exploration and is re-raised to the caller.
@@ -269,10 +270,11 @@ val run :
     [tracker] threads per-path state down the tree (see {!type:tracker});
     [dedup] is honoured only when the tracker supplies a [fingerprint].
 
-    [faults] supplies a full fault adversary ({!Faults.t}, generalizing
-    [max_crashes] — see {!Exec.explore}); POR is switched off automatically
-    whenever any fault branching is on (crash/recovery/glitch transitions
-    are per-process moves the sleep-set rule does not commute).
+    [faults] supplies a fault adversary ({!Faults.t}; see {!Exec.explore}
+    — [Faults.crashes k] is its [max_crashes = k]); POR is switched off
+    automatically whenever any fault branching is on (crash/recovery/glitch
+    transitions are per-process moves the sleep-set rule does not
+    commute).
 
     [on_leaf_trace] additionally receives each leaf's decision
     {!Faults.trace} — the path identifier that {!Exec.replay} re-executes;

@@ -63,11 +63,11 @@ let full_proj (leaf : Exec.leaf) =
 (* [dedup_threshold:0] forces the dedup/intern machinery even on these
    deliberately tiny trees — the lazy fallback is exercised separately
    below. *)
-let collect ?fuel ?max_crashes ?(dedup_threshold = 0) ~options ~proj impl
+let collect ?fuel ?faults ?(dedup_threshold = 0) ~options ~proj impl
     workloads =
   let acc = ref [] in
   let stats =
-    Explore.run impl ~workloads ?fuel ?max_crashes ~options ~dedup_threshold
+    Explore.run impl ~workloads ?fuel ?faults ~options ~dedup_threshold
       ~on_leaf:(fun leaf -> acc := proj leaf :: !acc)
       ()
   in
@@ -105,16 +105,16 @@ let check_same_invariants ~msg (naive : Explore.stats) (s : Explore.stats) =
    set (which keys ops by pid) is a *subset* of the naive one, while every
    pid-invariant statistic (max events/op steps/accesses, overflow
    detection) must still match exactly. *)
-let assert_equiv ?fuel ?max_crashes impl workloads =
+let assert_equiv ?fuel ?faults impl workloads =
   let naive_stats, naive_leaves =
-    collect ?fuel ?max_crashes ~options:Explore.naive ~proj:value_proj impl
+    collect ?fuel ?faults ~options:Explore.naive ~proj:value_proj impl
       workloads
   in
   let naive_set = leaf_set naive_leaves in
   List.iter
     (fun (msg, options) ->
       let s, leaves =
-        collect ?fuel ?max_crashes ~options ~proj:value_proj impl workloads
+        collect ?fuel ?faults ~options ~proj:value_proj impl workloads
       in
       Alcotest.(check (list value))
         (msg ^ ": observation set")
@@ -126,7 +126,7 @@ let assert_equiv ?fuel ?max_crashes impl workloads =
       ("fast", { Explore.fast with symmetry = false });
     ];
   let s_sym, sym_leaves =
-    collect ?fuel ?max_crashes ~options:Explore.fast ~proj:value_proj impl
+    collect ?fuel ?faults ~options:Explore.fast ~proj:value_proj impl
       workloads
   in
   List.iter
@@ -211,15 +211,16 @@ let naive_cases =
 
 let test_naive_matches_exec () =
   List.iter
-    (fun (msg, impl, workloads, max_crashes) ->
+    (fun (msg, impl, workloads, crashes) ->
+      let faults = Faults.crashes crashes in
       let exec_leaves = ref [] in
       let exec_stats =
-        Exec.explore impl ~workloads ~max_crashes
+        Exec.explore impl ~workloads ~faults
           ~on_leaf:(fun leaf -> exec_leaves := full_proj leaf :: !exec_leaves)
           ()
       in
       let s, leaves =
-        collect ~max_crashes ~options:Explore.naive ~proj:full_proj impl
+        collect ~faults ~options:Explore.naive ~proj:full_proj impl
           workloads
       in
       exec_stats_equal msg exec_stats (Explore.to_exec_stats s);
@@ -236,8 +237,8 @@ let test_naive_matches_exec () =
 
 let test_equiv_fixed_workloads () =
   List.iter
-    (fun (_, impl, workloads, max_crashes) ->
-      ignore (assert_equiv ~max_crashes impl workloads))
+    (fun (_, impl, workloads, crashes) ->
+      ignore (assert_equiv ~faults:(Faults.crashes crashes) impl workloads))
     naive_cases
 
 let test_equiv_overflow () =
@@ -309,6 +310,31 @@ let test_dedup_threshold_laziness () =
     deferred.Explore.pruned;
   Alcotest.(check (list value)) "same observation set" (leaf_set eager_leaves)
     (leaf_set deferred_leaves)
+
+(* --- the sleep set is part of the dedup key ---------------------------------
+
+   A state first cached under a sleep set skipped those processes' subtrees,
+   so a later visit under a smaller sleep set must not be pruned against it.
+   No workload we know loses an outcome when the sleep bits are dropped from
+   the key (all consensus vectors up to cas n=4 and thousands of random
+   register machines keep their outcome sets), but the pruning decisions
+   change, so the exact counts of two runs whose trees depend on those bits
+   are pinned: with the bits zeroed, cas n=3 goes to 18 nodes / 6 pruned and
+   cas n=4 to 37 nodes / 17 pruned. *)
+
+let test_sleep_bits_in_dedup_key () =
+  List.iter
+    (fun (name, procs, (nodes, pruned, sleep_skips, leaves)) ->
+      let impl = Wfc_consensus.Protocols.from_cas ~procs () in
+      let workloads = Array.make procs [ Ops.propose Value.truth ] in
+      let s =
+        Explore.run impl ~workloads ~options:Explore.fast ~dedup_threshold:0 ()
+      in
+      Alcotest.(check (list int))
+        (name ^ ": nodes, pruned, sleep skips, leaves")
+        [ nodes; pruned; sleep_skips; leaves ]
+        [ s.Explore.nodes; s.pruned; s.sleep_skips; s.leaves ])
+    [ ("cas3-equal", 3, (20, 2, 16, 1)); ("cas4-equal", 4, (51, 9, 60, 1)) ]
 
 (* --- process-symmetry reduction ---------------------------------------------- *)
 
@@ -425,10 +451,11 @@ let test_symmetry_verdict_parity () =
 
 (* --- stop and error propagation ------------------------------------------- *)
 
-(* Every engine path — the compiled kernel (naive and fast), the interpreter
-   under a fault adversary, and the checkpointed frontier — must cut a run
-   short with statistics and [Partial Stopped] when a leaf callback raises
-   [Exec.Stop], and re-raise any other callback exception on the caller. *)
+(* Every way the kernel is driven — a direct walk (naive, fast, and under a
+   fault adversary) and the checkpointed frontier (without and with faults)
+   — must cut a run short with statistics and [Partial Stopped] when a leaf
+   callback raises [Exec.Stop], and re-raise any other callback exception on
+   the caller. *)
 let test_stop_and_errors () =
   let impl = rw_impl ~procs:2 ~bits:2 ~coin:false in
   let workloads = [| [ cp 0 1; cp 1 0 ]; [ wr 0 true; wr 1 true ] |] in
@@ -458,8 +485,12 @@ let test_stop_and_errors () =
     [
       ("kernel naive", Explore.naive, None, None);
       ("kernel fast", Explore.fast, None, None);
-      ("interpreted faults", Explore.fast, Some (Faults.crashes 1), None);
+      ("kernel under crash faults", Explore.fast, Some (Faults.crashes 1), None);
       ("checkpointed frontier", Explore.fast, None, Some (ck, 3600.));
+      ( "checkpointed frontier under crash faults",
+        Explore.fast,
+        Some (Faults.crashes 1),
+        Some (ck, 3600.) );
     ]
 
 (* --- downstream verdict equivalence ----------------------------------------- *)
@@ -560,6 +591,8 @@ let () =
             test_dedup_strictly_prunes;
           Alcotest.test_case "dedup threshold is lazy" `Quick
             test_dedup_threshold_laziness;
+          Alcotest.test_case "sleep set is part of the dedup key" `Quick
+            test_sleep_bits_in_dedup_key;
         ] );
       ( "symmetry",
         [

@@ -1,8 +1,8 @@
-(* E14 — flat-state hot path: every engine path of [Explore.run] (the
-   compiled kernel, the interpreted fault path, and frontier mode with a
-   checkpoint sink, in memory or spilled to disk) must reach exactly the
-   outcome set and the consensus verdict of the naive [Exec.explore]
-   oracle, including under fault adversaries; the compiled step tables must
+(* E14 — flat-state hot path: every way [Explore.run] drives its kernel (a
+   direct walk, and frontier mode with a checkpoint sink, in memory or
+   spilled to disk) must reach exactly the outcome set and the consensus
+   verdict of the naive [Exec.explore] oracle, including under fault
+   adversaries; the compiled step tables must
    agree with the interpreted specs; the Bloom second tier must only ever
    prune (never flip a Falsified verdict, always downgrade a clean sweep);
    and the fingerprint structures themselves are fuzzed against oracles. *)
@@ -177,13 +177,14 @@ let test_step_table_agrees_with_zoo () =
 
 (* --- oracle: every engine path against Exec.explore ------------------------- *)
 
-(* [Explore.run] reaches the tree through code paths chosen by the run's
-   inputs: the compiled kernel (no checkpoint, no fault branching), the
-   interpreter (any fault adversary), and frontier mode (a checkpoint sink
-   armed). Frontier mode under a memory budget additionally spills pending
-   subtrees beyond a small in-RAM window to disk and replays them when
-   taken; that path runs [Explore.naive], so no Bloom-tier pruning can hide
-   a lost subtree. Whatever the path, the set of timing-insensitive outcomes
+(* [Explore.run] walks every tree with one kernel, driven in ways chosen by
+   the run's inputs: directly (no checkpoint, with or without a fault
+   adversary), and in frontier mode (a checkpoint sink armed), where each
+   pending subtree is a decision-trace prefix the kernel replays before
+   expanding or exploring it. Frontier mode under a memory budget
+   additionally spills pending subtrees beyond a small in-RAM window to disk
+   and replays them when taken; that path runs [Explore.naive], so no
+   Bloom-tier pruning can hide a lost subtree. Whatever the path, the set of timing-insensitive outcomes
    and the consensus verdict must be exactly those of the naive
    [Exec.explore] — counts of nodes and leaves legitimately differ and are
    not compared. *)

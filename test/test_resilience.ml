@@ -386,6 +386,59 @@ let test_explore_budget_checkpoint_resume () =
     true
     (final.Explore.leaves <= 3 * clean.Explore.leaves)
 
+(* A checkpoint taken for the right problem whose frontier holds a prefix
+   that does not replay must be refused up front, before any subtree — even
+   a good one listed first — is explored. *)
+let test_resume_refuses_bad_prefixes () =
+  let impl = cas3 () in
+  let n_objs = Array.length impl.Wfc_program.Implementation.objects in
+  let d proc kind = { Faults.proc; kind } in
+  let resume ~faults frontier =
+    let ck =
+      Checkpoint.make
+        ~engine:(Explore.engine_of_options Explore.fast)
+        ~fuel:Explore.default_fuel ~faults ~workloads:workloads3
+        ~counts:(Checkpoint.zero_counts ~n_objs) ~frontier ()
+    in
+    let leaves = ref 0 in
+    let result =
+      Explore.run impl ~workloads:workloads3 ~faults ~options:Explore.fast
+        ~resume_from:ck
+        ~on_leaf:(fun _ -> incr leaves)
+        ()
+    in
+    (result, !leaves)
+  in
+  let good = [ d 0 (Faults.Step 0) ] in
+  let crash_recovery = Faults.crash_recovery ~crashes:1 ~recoveries:1 in
+  List.iter
+    (fun (name, faults, bad) ->
+      match resume ~faults [ good; bad ] with
+      | _ ->
+        Alcotest.failf "%s: prefix %s resumed" name
+          (Faults.trace_to_string bad)
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Fmt.str "%s: refused as a replay failure (%s)" name msg)
+          true
+          (String.starts_with ~prefix:"Explore.run: cannot resume: replay: "
+             msg))
+    [
+      ("nonexistent pid", Faults.none, [ d 5 (Faults.Step 0) ]);
+      ("step out of range", Faults.none, [ d 0 (Faults.Step 7) ]);
+      ("crash without budget", Faults.none, [ d 1 Faults.Crash ]);
+      ( "recover of a live process",
+        crash_recovery,
+        [ d 0 (Faults.Step 0); d 1 Faults.Recover ] );
+    ];
+  (* control: the good prefix alone resumes, under both problems *)
+  List.iter
+    (fun faults ->
+      let stats, leaves = resume ~faults [ good ] in
+      Alcotest.(check bool) "good prefix explored" true
+        (leaves > 0 && stats.Explore.completeness = Explore.Exhaustive))
+    [ Faults.none; crash_recovery ]
+
 let test_explore_interrupt_flush_and_resume () =
   let impl = cas3 () in
   let path = temp_ck () in
@@ -626,6 +679,8 @@ let () =
             test_explore_budget_checkpoint_resume;
           Alcotest.test_case "interrupt flushes and resumes" `Quick
             test_explore_interrupt_flush_and_resume;
+          Alcotest.test_case "prefixes that do not replay are refused" `Quick
+            test_resume_refuses_bad_prefixes;
         ] );
       ( "memory watchdog",
         [
