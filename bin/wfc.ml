@@ -20,6 +20,47 @@ open Wfc_zoo
 open Wfc_consensus
 open Wfc_core
 
+(* --- exit and output errors ------------------------------------------------
+
+   Every subcommand ends through [exit_after], which flushes stdout and
+   stderr itself, so a write error surfaces here and not in an at-exit
+   flush. A reader that went away (EPIPE, e.g. [wfc … | head]) ends the
+   process quietly with 141, the status a shell reports for a SIGPIPE death
+   (SIGPIPE itself stays ignored for the fleet sockets, see below). Any
+   other write error, such as a full disk, prints one line and exits with
+   [exit_output_error], a code no verdict uses. A write error raised while a
+   subcommand runs takes the same path; every other exception still reaches
+   Cmdliner's handler. *)
+
+let exit_output_error = 74 (* EX_IOERR *)
+
+let flush_outputs () =
+  Format.pp_print_flush Format.std_formatter ();
+  Format.pp_print_flush Format.err_formatter ();
+  flush stdout;
+  flush stderr
+
+let output_failed msg =
+  if String.equal msg (Unix.error_message Unix.EPIPE) then Unix._exit 141
+  else begin
+    (try
+       prerr_endline ("wfc: error writing output: " ^ msg);
+       flush stderr
+     with Sys_error _ -> ());
+    Unix._exit exit_output_error
+  end
+
+let exit_after f =
+  match f () with
+  | code -> (
+    match flush_outputs () with
+    | () -> Stdlib.exit code
+    | exception Sys_error msg -> output_failed msg)
+  | exception (Sys_error _ as e) -> (
+    match flush_outputs () with
+    | () -> raise e
+    | exception Sys_error msg -> output_failed msg)
+
 (* --- shared arguments ------------------------------------------------------ *)
 
 let protocol_names = Protocols.names
@@ -328,7 +369,7 @@ let verify_cmd =
           adversary and/or an exploration budget")
     Term.(
       const (fun n p c r g d b dl w ns cf ci rf mb ->
-          Stdlib.exit (run n p c r g d b dl w ns cf ci rf mb))
+          exit_after (fun () -> run n p c r g d b dl w ns cf ci rf mb))
       $ protocol_arg $ procs_arg $ crashes_arg $ recoveries_arg $ glitches_arg
       $ degrade_arg $ budget_arg $ deadline_arg $ witness_out_arg
       $ no_symmetry_arg $ checkpoint_arg
@@ -471,7 +512,8 @@ let serve_cmd =
           tolerating worker crashes, stalls and partitions")
     Term.(
       const (fun n p c r g d b dl w cf rf sk wk ls q lg ch cs v ->
-          Stdlib.exit (run n p c r g d b dl w cf rf sk wk ls q lg ch cs v))
+          exit_after (fun () ->
+              run n p c r g d b dl w cf rf sk wk ls q lg ch cs v))
       $ protocol_arg $ procs_arg $ crashes_arg $ recoveries_arg $ glitches_arg
       $ degrade_arg $ budget_arg $ deadline_arg $ witness_out_arg
       $ checkpoint_arg $ resume_arg $ fleet_addr_arg "listen" $ workers_arg
@@ -528,7 +570,8 @@ let worker_cmd =
          "Join a $(b,wfc serve) fleet: lease shards, explore them, heartbeat, \
           reconnect with jittered backoff when the coordinator vanishes")
     Term.(
-      const (fun s n t c sd a p v -> Stdlib.exit (run s n t c sd a p v))
+      const (fun s n t c sd a p v ->
+          exit_after (fun () -> run s n t c sd a p v))
       $ fleet_addr_arg "connect" $ name_arg $ token_arg $ chaos_arg
       $ seed_arg $ attempts_arg $ persist_arg $ verbose_arg)
 
@@ -584,7 +627,7 @@ let netchaos_cmd =
           partitions, resets, fragmentation, corruption) between fleet \
           workers and their coordinator")
     Term.(
-      const (fun l u p v -> Stdlib.exit (run l u p v))
+      const (fun l u p v -> exit_after (fun () -> run l u p v))
       $ listen_arg $ upstream_arg $ plan_arg $ verbose_arg)
 
 (* --- queue: the standing job queue ------------------------------------------ *)
@@ -758,7 +801,7 @@ let queue_cmd =
           no job lost or verdict duplicated")
     Term.(
       const (fun j sd p c mr sk w b dl ls q v ->
-          Stdlib.exit (run j sd p c mr sk w b dl ls q v))
+          exit_after (fun () -> run j sd p c mr sk w b dl ls q v))
       $ journal_arg $ state_dir_arg $ protocols_arg $ crashes_list_arg
       $ max_retries_arg $ fleet_addr_arg "listen" $ workers_arg $ budget_arg
       $ deadline_arg $ lease_arg $ quantum_arg $ verbose_arg)
@@ -826,7 +869,7 @@ let checkpoint_cmd =
          ~doc:
            "Print a checkpoint's protocol, engine configuration, frontier \
             size and accumulated statistics without resuming it")
-      Term.(const (fun f -> Stdlib.exit (info_run f)) $ file_arg)
+      Term.(const (fun f -> exit_after (fun () -> info_run f)) $ file_arg)
   in
   Cmd.group
     (Cmd.info "checkpoint" ~doc:"Inspect saved verification checkpoints")
@@ -848,7 +891,9 @@ let explore_cmd =
   Cmd.v
     (Cmd.info "explore"
        ~doc:"Section 4.2: execution-tree statistics and the bound D")
-    Term.(const (fun n p -> Stdlib.exit (run n p)) $ protocol_arg $ procs_arg)
+    Term.(
+      const (fun n p -> exit_after (fun () -> run n p))
+      $ protocol_arg $ procs_arg)
 
 (* --- compile ------------------------------------------------------------------ *)
 
@@ -947,7 +992,7 @@ let compile_cmd =
     (Cmd.info "compile"
        ~doc:"Theorem 5: compile a register-using protocol to register-free")
     Term.(
-      const (fun n p t -> Stdlib.exit (run n p t))
+      const (fun n p t -> exit_after (fun () -> run n p t))
       $ protocol_arg $ procs_arg $ type_arg)
 
 (* --- valence ------------------------------------------------------------------- *)
@@ -991,7 +1036,7 @@ let valence_cmd =
          "FLP-style valence analysis: find the critical configurations and \
           the objects that decide")
     Term.(
-      const (fun n p d -> Stdlib.exit (run n p d))
+      const (fun n p d -> exit_after (fun () -> run n p d))
       $ protocol_arg $ procs_arg $ dot_arg)
 
 (* --- trace --------------------------------------------------------------------- *)
@@ -1032,7 +1077,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Print one random execution of a protocol, event by event")
     Term.(
-      const (fun n p s -> Stdlib.exit (run n p s))
+      const (fun n p s -> exit_after (fun () -> run n p s))
       $ protocol_arg $ procs_arg $ seed_arg)
 
 (* --- stress -------------------------------------------------------------------- *)
@@ -1069,7 +1114,7 @@ let stress_cmd =
   Cmd.v
     (Cmd.info "stress" ~doc:"Multicore agreement trials on real domains")
     Term.(
-      const (fun n p t s -> Stdlib.exit (run n p t s))
+      const (fun n p t s -> exit_after (fun () -> run n p t s))
       $ protocol_arg $ procs_arg $ trials_arg $ seed_arg)
 
 (* --- replay -------------------------------------------------------------------- *)
@@ -1164,7 +1209,7 @@ let replay_cmd =
        ~doc:
          "Deterministically re-execute a stored counterexample witness, \
           event by event")
-    Term.(const (fun f -> Stdlib.exit (run f)) $ file_arg)
+    Term.(const (fun f -> exit_after (fun () -> run f)) $ file_arg)
 
 let () =
   (* Fleet sockets everywhere: a peer disappearing mid-write must surface
@@ -1176,11 +1221,11 @@ let () =
     "Reproduction of 'On the Use of Registers in Achieving Wait-Free \
      Consensus' (Bazzi, Neiger, Peterson; PODC 1994)"
   in
-  Stdlib.exit
-    (Cmd.eval
-       (Cmd.group (Cmd.info "wfc" ~doc)
-          [
-            zoo_cmd; verify_cmd; serve_cmd; worker_cmd; netchaos_cmd;
-            queue_cmd; checkpoint_cmd; explore_cmd; compile_cmd; valence_cmd;
-            trace_cmd; stress_cmd; replay_cmd;
-          ]))
+  exit_after (fun () ->
+      Cmd.eval
+        (Cmd.group (Cmd.info "wfc" ~doc)
+           [
+             zoo_cmd; verify_cmd; serve_cmd; worker_cmd; netchaos_cmd;
+             queue_cmd; checkpoint_cmd; explore_cmd; compile_cmd; valence_cmd;
+             trace_cmd; stress_cmd; replay_cmd;
+           ]))

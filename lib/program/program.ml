@@ -36,19 +36,23 @@ let rec rename_objects ren = function
    engine answers every invocation with the canonical interned representative,
    so within one run [r1 == r2] iff they are the same response. A structurally
    equal but physically distinct response just misses the memo and re-runs the
-   continuation — always sound, since [k] is pure. *)
+   continuation — always sound, since [k] is pure. The walk is a top-level
+   function over the node [p] it memoizes for, so a hit (every step edge of
+   the engine) allocates nothing. *)
+let rec memo_step p resp = function
+  | (r, next) :: rest -> if r == resp then next else memo_step p resp rest
+  | [] -> (
+    match p with
+    | Invoke n ->
+      let next = n.k resp in
+      n.memo <- (resp, next) :: n.memo;
+      next
+    | Return _ -> assert false)
+
 let step p resp =
   match p with
   | Return _ -> invalid_arg "Program.step: Return has no continuation"
-  | Invoke n ->
-    let rec find = function
-      | [] ->
-        let next = n.k resp in
-        n.memo <- (resp, next) :: n.memo;
-        next
-      | (r, next) :: rest -> if r == resp then next else find rest
-    in
-    find n.memo
+  | Invoke n -> memo_step p resp n.memo
 
 let length_along oracle p =
   let rec go n = function

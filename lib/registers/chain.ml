@@ -55,18 +55,20 @@ let atomic_mrsw_from_regular_srsw ~readers ~init () =
       (k / (readers - 1)) + 1
   in
   let n = Implementation.base_object_count c5 in
+  (* Every C5 register starts at the same value, so one C4 instance replaces
+     them all ([substitute] rejects a replacement whose initial value does
+     not match). *)
+  let c4 =
+    Timestamp.atomic_srsw ~init:(snd c5.Implementation.objects.(0)) ()
+  in
   let rec subst acc obj =
     if obj = n then acc
     else
-      let _, iv = acc.Implementation.objects.(obj) in
       let wproc = owner obj in
       let proc_map p = if p = wproc then 0 else 1 in
-      let acc =
-        Implementation.substitute ~obj ~proc_map
-          ~replacement:(Timestamp.atomic_srsw ~init:iv ())
-          acc
-      in
-      subst acc (obj + 1)
+      subst
+        (Implementation.substitute ~obj ~proc_map ~replacement:c4 acc)
+        (obj + 1)
   in
   subst c5 0
 

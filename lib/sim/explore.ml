@@ -161,44 +161,65 @@ end
    The dedup key deliberately drops the timing fields ([started],
    [start_step]/[end_step]) so that interleavings converging to the same
    configuration merge; it keeps everything a timing-insensitive leaf
-   predicate can observe: object states, per-process control (todo suffix,
-   pending continuation identified by ⟨inv0, responses so far⟩, local state),
-   completed operations' values and step counts, the fault bookkeeping
-   (crashed/stuck flags, remaining budgets, staleness histories), and the
-   event/access totals (which also makes fuel and max-accesses accounting
-   exact — states at different depths never merge). The active sleep set is
-   part of the key: combining sleep sets with state caching is only sound
-   when a cached state was explored under the same (or smaller) sleep set,
-   and keying on the exact set is the simple sound choice.
+   predicate can observe: object states, per-process control (operations
+   issued, the pending continuation, local state), completed operations'
+   results and step counts, the fault bookkeeping (crashed/stuck flags,
+   remaining budgets, staleness histories), and the event/access totals
+   (which also makes fuel and max-accesses accounting exact — states at
+   different depths never merge). The active sleep set is part of the key:
+   combining sleep sets with state caching is only sound when a cached state
+   was explored under the same (or smaller) sleep set, and keying on the
+   exact set is the simple sound choice.
 
-   A pending operation's continuation is a closure, but programs are
-   deterministic functions of (proc, invocation, local-at-invocation), so
-   ⟨inv0, responses so far⟩ pins it exactly. (A glitched response enters
-   that list like an honest one: the continuation depends on what the
-   program saw, not on whether the object really said it.)
+   Per process the key holds five ints: [next_op], the pending-chain cell,
+   the local-state cell, the completed-operations cell, and the
+   crashed/stuck/sleep bits packed together. Each is kept up to date along
+   tree edges in O(1), from cells the edge already holds, and restored from
+   the frame's saved copies when it backtracks:
 
-   Every component is a hash-consed [Value.Intern.cell], maintained
-   *incrementally* by the kernel along tree edges: an edge re-interns only
-   the components it touched, and restores the parent's cells when it
-   backtracks.
+   - The todo suffix is not in the key: it is always the suffix of the
+     process's workload after [next_op], minus the head while an operation
+     is pending (a recovery puts the head back and clears the pending
+     operation). Processes compared under symmetry have equal workloads.
 
-   Per-process components deliberately exclude the pid itself (the position
-   in the key carries it; under symmetry, the canonical position), and a
-   process's completed operations form a cons-chain extended by one cell
-   when an edge retires an operation. Completed operations therefore enter
-   the key per ⟨proc, op_index⟩, not in completion order: schedules that
-   completed the same operations with the same values merge even when they
-   retired them in a different order — completion order is already outside
-   the engine's soundness envelope. *)
+   - The pending operation ⟨inv0, op_index, responses so far⟩ is a chain:
+     its root is [pair inv0 op_index] (interned when the operation's first
+     access is taken), and each access conses its response cell — straight
+     from the [Step_table] row, or the interned glitch response — onto it
+     with one [pair]. A root's second component is an int cell, a link's is
+     a pair cell, so no link equals any root. No operation pending is the
+     unit cell. The continuation is a closure, but programs are
+     deterministic functions of (proc, invocation, local-at-invocation), so
+     the chain pins it exactly. (A glitched response enters the chain like
+     an honest one: the continuation depends on what the program saw, not on
+     whether the object really said it.)
+
+   - The local state is re-interned only when an edge changes it
+     physically.
+
+   - A process's completed operations form a chain of [pair ⟨pair resp
+     steps⟩ rest], extended by one link when an edge retires an operation.
+     A process retires its operations in workload order, so a link's
+     position fixes its op_index and invocation. Completed operations
+     therefore enter the key per ⟨proc, op_index⟩, not in completion order:
+     schedules that completed the same operations with the same values
+     merge even when they retired them in a different order — completion
+     order is already outside the engine's soundness envelope.
+
+   Interning hits allocate nothing ({!Value.Intern}), so neither does this
+   upkeep, except for the cells a first visit creates. Per-process
+   components exclude the pid itself (the position in the key carries it;
+   under symmetry, the canonical position). *)
 
 module I = Value.Intern
 
-let fp_op_cell ist (o : Exec.op) =
-  I.list ist
-    [ I.int ist o.op_index; I.intern ist o.inv; I.intern ist o.resp;
-      I.int ist o.steps ]
+let fp_op_cell ist ~resp ~steps =
+  I.pair ist (I.intern ist resp) (I.int ist steps)
 
-let fp_hist_cell ist h = I.list ist (List.map (I.intern ist) h)
+let fp_pend_root ist ~inv0 ~op_index =
+  I.pair ist (I.intern ist inv0) (I.int ist op_index)
+
+let fp_hist_cell ist h = I.intern ist (Value.List h)
 
 (* --- graceful degradation ----------------------------------------------------
 
@@ -352,91 +373,122 @@ let options_of_engine (e : Checkpoint.engine) =
 
    Layout:
 
-     per object   : [obj_cell; hist_cell; acc]                (3·n_objs)
-     per process  : [proc_cell; ops_cell; crashed; stuck; sleep]  (5·n_procs)
+     per object   : [obj_cell; hist_cell; acc]                   (3·n_objs)
+     per process  : [next_op; pend_cell; local_cell; ops_cell; flags]
+                                                                 (5·n_procs)
      scalars      : [events; crashes_left; recoveries_left; glitches_left]
      tracker      : [tracker cell id, or -1]
 
-   Every per-process component has a FIXED width of five ints, so symmetry
-   canonicalization is an in-place insertion sort of five-int records within
-   each class segment — no allocation there either. Cell ids are unique
-   within the owning intern state, so two encodings are equal iff the
-   configurations agree on every component above (up to 124-bit fingerprint
-   collisions, which hash compaction treats as negligible). *)
+   where [flags] packs the crashed, stuck and sleep bits. Every per-process
+   component has a FIXED width of five ints, so symmetry canonicalization
+   is an in-place insertion sort of five-int records within each class
+   segment — no allocation there either. Cell ids are unique within the
+   owning intern state, so two encodings are equal iff the configurations
+   agree on every component above (up to 124-bit fingerprint collisions,
+   which hash compaction treats as negligible). *)
+
+let rec_width = 5
 
 type flat_ctx = {
   ist : I.state;
   buf : int array;  (* the scratch encoding; length fixed per run *)
-  tmp : int array;  (* one 5-int record, for the insertion sort *)
+  tmp : int array;  (* one record, for the insertion sort *)
   mutable table : Fingerprint.Table.t option;  (* exact tier *)
   mutable bloom : Fingerprint.Bloom.t option;  (* probabilistic tier *)
 }
 
+(* One spare exact-tier table per domain. A run that completes hands its
+   table back, cleared, and the next run starts from it instead of a fresh
+   allocation: a verification is a long stream of small runs (one per input
+   vector), whose tables and their growth copies would otherwise all be
+   major-heap garbage. Tables above [spare_max_words] are dropped instead,
+   so clearing stays cheap and little memory stays pinned. *)
+let spare_table : Fingerprint.Table.t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let spare_max_words = 1 lsl 17
+
+let take_table () =
+  let spare = Domain.DLS.get spare_table in
+  match !spare with
+  | Some t ->
+    spare := None;
+    t
+  | None -> Fingerprint.Table.create ()
+
+let give_back_table t =
+  if Fingerprint.Table.size_words t <= spare_max_words then begin
+    Fingerprint.Table.clear t;
+    Domain.DLS.get spare_table := Some t
+  end
+
 let flat_create ~ist ~n_objs ~n_procs ~tier2 ~bloom_bits_log2 () =
   {
     ist;
-    buf = Array.make ((3 * n_objs) + (5 * n_procs) + 5) 0;
-    tmp = Array.make 5 0;
-    table = (if tier2 then None else Some (Fingerprint.Table.create ()));
+    buf = Array.make ((3 * n_objs) + (rec_width * n_procs) + 5) 0;
+    tmp = Array.make rec_width 0;
+    table = (if tier2 then None else Some (take_table ()));
     bloom =
       (if tier2 then Some (Fingerprint.Bloom.create ~bits_log2:bloom_bits_log2 ())
        else None);
   }
 
-(* Sort the five-int records in [buf.(base + 5*lo) .. buf.(base + 5*hi - 1)]
-   lexicographically, in place. Class segments are tiny (≤ n_procs), so
-   insertion sort wins. *)
+(* Is the record in [tmp] lexicographically below the one at [k]? *)
+let rec tmp_below tmp buf k i =
+  i < rec_width
+  &&
+  let a = Array.unsafe_get tmp i and b = Array.unsafe_get buf (k + i) in
+  a < b || (a = b && tmp_below tmp buf k (i + 1))
+
+(* Sort the records in slots [lo, hi) of [buf] (slot [s] starts at
+   [base + rec_width*s]) lexicographically, in place. Class segments are
+   tiny (≤ n_procs), so insertion sort wins. *)
 let sort_records buf tmp ~base ~lo ~hi =
-  let copy_rec j i = Array.blit buf (base + (5 * j)) buf (base + (5 * i)) 5 in
-  (* is the record in [tmp] < the record at slot [j]? *)
-  let tmp_lt j =
-    let rec go k =
-      if k = 5 then false
-      else
-        let c = compare tmp.(k) buf.(base + (5 * j) + k) in
-        if c < 0 then true else if c > 0 then false else go (k + 1)
-    in
-    go 0
-  in
   for i = lo + 1 to hi - 1 do
-    Array.blit buf (base + (5 * i)) tmp 0 5;
+    Array.blit buf (base + (rec_width * i)) tmp 0 rec_width;
     let j = ref (i - 1) in
-    while !j >= lo && tmp_lt !j do
-      copy_rec !j (!j + 1);
+    while !j >= lo && tmp_below tmp buf (base + (rec_width * !j)) 0 do
+      Array.blit buf (base + (rec_width * !j)) buf
+        (base + (rec_width * (!j + 1)))
+        rec_width;
       decr j
     done;
-    Array.blit tmp 0 buf (base + (5 * (!j + 1))) 5
+    Array.blit tmp 0 buf (base + (rec_width * (!j + 1))) rec_width
   done
 
-(* Fill the scratch buffer from the kernel's cell/scalar components and hash
-   it. Zero allocation. [crashed], [stuck] and [sleep] are per-process
-   bitmasks. *)
-let encode_flat fx ~obj_cells ~hist_cells ~proc_cells ~ops_cells ~acc
-    ~crashed ~stuck ~events ~crashes_left ~recoveries_left ~glitches_left
-    ~sleep ~classes ~tracker_id =
+(* Write process [p]'s record into [slot]. *)
+let put_record buf ~base slot p ~next_op ~pend_cells ~local_cells ~ops_cells
+    ~crashed ~stuck ~sleep =
+  let k = base + (rec_width * slot) in
+  Array.unsafe_set buf k (Array.unsafe_get next_op p);
+  Array.unsafe_set buf (k + 1) (I.id (Array.unsafe_get pend_cells p));
+  Array.unsafe_set buf (k + 2) (I.id (Array.unsafe_get local_cells p));
+  Array.unsafe_set buf (k + 3) (I.id (Array.unsafe_get ops_cells p));
+  Array.unsafe_set buf (k + 4)
+    ((((crashed lsr p) land 1) lsl 2)
+    lor (((stuck lsr p) land 1) lsl 1)
+    lor ((sleep lsr p) land 1))
+
+(* Fill the scratch buffer from the kernel's cell/scalar components and
+   return the encoding's length. Zero allocation. [crashed], [stuck] and
+   [sleep] are per-process bitmasks. *)
+let encode_flat fx ~obj_cells ~hist_cells ~acc ~next_op ~pend_cells
+    ~local_cells ~ops_cells ~crashed ~stuck ~events ~crashes_left
+    ~recoveries_left ~glitches_left ~sleep ~classes ~tracker_id =
   let buf = fx.buf in
   let n_objs = Array.length obj_cells in
-  let nprocs = Array.length proc_cells in
-  let j = ref 0 in
+  let nprocs = Array.length next_op in
   for o = 0 to n_objs - 1 do
-    buf.(!j) <- I.id obj_cells.(o);
-    buf.(!j + 1) <- I.id hist_cells.(o);
-    buf.(!j + 2) <- acc.(o);
-    j := !j + 3
+    buf.(3 * o) <- I.id obj_cells.(o);
+    buf.((3 * o) + 1) <- I.id hist_cells.(o);
+    buf.((3 * o) + 2) <- acc.(o)
   done;
-  let base = !j in
-  let put slot p =
-    let k = base + (5 * slot) in
-    buf.(k) <- I.id proc_cells.(p);
-    buf.(k + 1) <- I.id ops_cells.(p);
-    buf.(k + 2) <- (crashed lsr p) land 1;
-    buf.(k + 3) <- (stuck lsr p) land 1;
-    buf.(k + 4) <- (sleep lsr p) land 1
-  in
+  let base = 3 * n_objs in
   (match classes with
   | None ->
     for p = 0 to nprocs - 1 do
-      put p p
+      put_record buf ~base p p ~next_op ~pend_cells ~local_cells ~ops_cells
+        ~crashed ~stuck ~sleep
     done
   | Some rep ->
     (* Emit each class's members contiguously at the representative's
@@ -448,7 +500,8 @@ let encode_flat fx ~obj_cells ~hist_cells ~proc_cells ~ops_cells ~acc
         let seg = !slot in
         for q = p to nprocs - 1 do
           if rep.(q) = p then begin
-            put !slot q;
+            put_record buf ~base !slot q ~next_op ~pend_cells ~local_cells
+              ~ops_cells ~crashed ~stuck ~sleep;
             incr slot
           end
         done;
@@ -456,16 +509,18 @@ let encode_flat fx ~obj_cells ~hist_cells ~proc_cells ~ops_cells ~acc
           sort_records buf fx.tmp ~base ~lo:seg ~hi:!slot
       end
     done);
-  j := base + (5 * nprocs);
-  buf.(!j) <- events;
-  buf.(!j + 1) <- crashes_left;
-  buf.(!j + 2) <- recoveries_left;
-  buf.(!j + 3) <- glitches_left;
-  buf.(!j + 4) <- tracker_id;
-  Fingerprint.hash_array buf ~len:(!j + 5)
+  let j = base + (rec_width * nprocs) in
+  buf.(j) <- events;
+  buf.(j + 1) <- crashes_left;
+  buf.(j + 2) <- recoveries_left;
+  buf.(j + 3) <- glitches_left;
+  buf.(j + 4) <- tracker_id;
+  j + 5
 
 (* Exact tier while it exists, Bloom tier after the watchdog demoted it. *)
-let flat_mem_or_add fx ~hi ~lo =
+let flat_mem_or_add fx ~len =
+  let hi = Fingerprint.hash_hi fx.buf ~len
+  and lo = Fingerprint.hash_lo fx.buf ~len in
   match (fx.table, fx.bloom) with
   | Some tbl, _ -> Fingerprint.Table.mem_or_add tbl ~hi ~lo
   | None, Some bl -> Fingerprint.Bloom.mem_or_add bl ~hi ~lo
@@ -649,7 +704,8 @@ type mut_state = {
   ms_steps : int array;
   ms_resps : Value.t list array;
   ms_node : (Value.t * Value.t) Program.t array;
-  ms_proc_cells : I.cell array;
+  ms_pend_cells : I.cell array;
+  ms_local_cells : I.cell array;
   ms_ops_cells : I.cell array;
   ms_hist_cells : I.cell array;
   mutable ms_cls : cls array;
@@ -732,7 +788,8 @@ let fresh_mut_state ~n_objs ~n_procs ~unit_cell ~empty_hist =
     ms_steps = Array.make n_procs 0;
     ms_resps = Array.make n_procs [];
     ms_node = Array.make n_procs (Program.Return (Value.unit, Value.unit));
-    ms_proc_cells = Array.make n_procs unit_cell;
+    ms_pend_cells = Array.make n_procs unit_cell;
+    ms_local_cells = Array.make n_procs unit_cell;
     ms_ops_cells = Array.make n_procs unit_cell;
     ms_hist_cells = Array.make n_objs empty_hist;
     ms_cls = [||];
@@ -749,19 +806,21 @@ let port_of cc p obj =
     v
   end
 
+(* The memo scan, top-level so that a hit allocates nothing. *)
+let rec find_top ~inv ~local = function
+  | [] -> raise_notrace Not_found
+  | (i, l, n) :: rest ->
+    if (i == inv || Value.equal i inv) && (l == local || Value.equal l local)
+    then n
+    else find_top ~inv ~local rest
+
 let top_node cc p ~inv ~local =
-  let rec find = function
-    | [] ->
-      let n = cc.cc_impl.Implementation.program ~proc:p ~inv local in
-      cc.cc_topmemo.(p) <- (inv, local, n) :: cc.cc_topmemo.(p);
-      n
-    | (i, l, n) :: rest ->
-      if
-        (i == inv || Value.equal i inv) && (l == local || Value.equal l local)
-      then n
-      else find rest
-  in
-  find cc.cc_topmemo.(p)
+  match find_top ~inv ~local cc.cc_topmemo.(p) with
+  | n -> n
+  | exception Not_found ->
+    let n = cc.cc_impl.Implementation.program ~proc:p ~inv local in
+    cc.cc_topmemo.(p) <- (inv, local, n) :: cc.cc_topmemo.(p);
+    n
 
 (* A frontier prefix that does not lead anywhere in this tree. *)
 exception Replay_error of string
@@ -776,8 +835,8 @@ type walker = {
           [List.length prefix] only checks that the prefix replays. Raises
           [Replay_error] on a prefix that does not replay. *)
   release : unit -> unit;
-      (** return the mutable configuration to the pool (normal completion
-          only) *)
+      (** return the mutable configuration and the dedup table to their
+          pools (normal completion only) *)
 }
 
 (* Every index the kernel's hot frames use is established by a loop bound
@@ -853,7 +912,8 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
      at entry whether it maintains them ([track] below) and a non-tracking
      backtrack invalidates the cache for the next probe to rebuild. *)
   let hist_cells = ms.ms_hist_cells in
-  let proc_cells = ms.ms_proc_cells in
+  let pend_cells = ms.ms_pend_cells in
+  let local_cells = ms.ms_local_cells in
   let ops_cells = ms.ms_ops_cells in
   let cells_valid = ref false in
   let cls_at depth =
@@ -874,28 +934,23 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
     if i < 8 then Array.unsafe_get (Array.unsafe_get cc.cc_decisions p) i
     else { Faults.proc = p; kind = Faults.Step i }
   in
-  let mut_proc_cell p =
-    I.list ist
-      [
-        I.list ist (List.map (I.intern ist) todo.(p));
-        I.int ist next_op.(p);
-        (if haspend.(p) then
-           I.list ist
-             (I.intern ist p_inv0.(p)
-             :: I.int ist p_opidx.(p)
-             :: List.map (I.intern ist) p_resps.(p))
-         else unit_cell);
-        I.intern ist local.(p);
-      ]
-  in
   let rebuild_cells () =
     for p = 0 to n_procs - 1 do
-      proc_cells.(p) <- mut_proc_cell p;
+      local_cells.(p) <- I.intern ist local.(p);
+      pend_cells.(p) <-
+        (if haspend.(p) then
+           List.fold_right
+             (fun r chain -> I.pair ist (I.intern ist r) chain)
+             p_resps.(p)
+             (fp_pend_root ist ~inv0:p_inv0.(p) ~op_index:p_opidx.(p))
+         else unit_cell);
       ops_cells.(p) <- unit_cell
     done;
     List.iter
       (fun (o : Exec.op) ->
-        ops_cells.(o.proc) <- I.pair ist (fp_op_cell ist o) ops_cells.(o.proc))
+        ops_cells.(o.proc) <-
+          I.pair ist (fp_op_cell ist ~resp:o.resp ~steps:o.steps)
+            ops_cells.(o.proc))
       (List.rev !ops_rev);
     for o = 0 to n_objs - 1 do
       hist_cells.(o) <- fp_hist_cell ist hist.(o)
@@ -934,13 +989,14 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
         | Some fp -> I.id (I.intern ist (fp st))
         | None -> -1
       in
-      let hi, lo =
-        encode_flat fx ~obj_cells ~hist_cells ~proc_cells ~ops_cells ~acc
-          ~crashed:!crashed ~stuck:!stuck ~events:!events
-          ~crashes_left:!crashes_left ~recoveries_left:!recoveries_left
-          ~glitches_left:!glitches_left ~sleep ~classes:dd.classes ~tracker_id
+      let len =
+        encode_flat fx ~obj_cells ~hist_cells ~acc ~next_op ~pend_cells
+          ~local_cells ~ops_cells ~crashed:!crashed ~stuck:!stuck
+          ~events:!events ~crashes_left:!crashes_left
+          ~recoveries_left:!recoveries_left ~glitches_left:!glitches_left
+          ~sleep ~classes:dd.classes ~tracker_id
       in
-      flat_mem_or_add fx ~hi ~lo
+      flat_mem_or_add fx ~len
   in
   (* The ⟨proc, target-level invocation⟩ of every live pending operation:
      invoked, not yet returned, process neither crashed nor stuck. Only these
@@ -1010,9 +1066,10 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
       done
     end
   in
-  (* The glitched responses [p]'s poised access may receive, paired with the
-     object and the continuation each leads to; responses the program cannot
-     decode ([Type_error]) are dropped, so indices count survivors only. *)
+  (* The glitched response cells [p]'s poised access may receive, paired
+     with the object and the continuation each leads to; responses the
+     program cannot decode ([Type_error]) are dropped, so indices count
+     survivors only. *)
   let glitch_alts p =
     if !glitches_left <= 0 || not (has_work p) then []
     else
@@ -1032,9 +1089,9 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
             ~alts_at:(fun qs -> alts_at (I.intern ist qs))
             ~q:objs.(obj) ~hist:hist.(obj) d
           |> List.filter_map (fun r ->
-                 let r = I.value (I.intern ist r) in
-                 match Program.step node r with
-                 | next -> Some (obj, r, next)
+                 let rc = I.intern ist r in
+                 match Program.step node (I.value rc) with
+                 | next -> Some (obj, rc, next)
                  | exception Value.Type_error _ -> None))
   in
   let independent cl p q =
@@ -1160,10 +1217,12 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
                wedge_child p cl trace_rev st);
           if !glitches_left > 0 then
             List.iteri
-              (fun i (obj, r, next) ->
+              (fun i (obj, rc, next) ->
                 c.nodes <- c.nodes + 1;
-                acc_child p cl (-1) (not haspend.(p)) obj obj_cells.(obj) next r
-                  { Faults.proc = p; kind = Faults.Glitch i } 1 0 trace_rev st)
+                acc_child p cl (-1) (not haspend.(p)) obj obj_cells.(obj) next
+                  rc
+                  { Faults.proc = p; kind = Faults.Glitch i }
+                  1 0 trace_rev st)
               (glitch_alts p);
           if !crashes_left > 0 then begin
             c.nodes <- c.nodes + 1;
@@ -1216,10 +1275,11 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
       let cells = row.Step_table.cells in
       for j = 0 to n_alts - 1 do
         c.nodes <- c.nodes + 1;
-        let resp = I.value (Array.unsafe_get cells ((2 * j) + 1)) in
+        let rc = Array.unsafe_get cells ((2 * j) + 1) in
         acc_child p cl child_dirty (k = 2) obj
           (Array.unsafe_get cells (2 * j))
-          (Program.step node resp) resp (dec p j) 0 child_sleep trace_rev st
+          (Program.step node (I.value rc))
+          rc (dec p j) 0 child_sleep trace_rev st
       done
   (* A fresh operation whose program returns without touching a base object:
      one completion child, no object mutation. *)
@@ -1233,7 +1293,7 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
       and s_local = Array.unsafe_get local p in
       let s_ops = !ops_rev in
       let s_opsc = Array.unsafe_get ops_cells p
-      and s_pc = Array.unsafe_get proc_cells p in
+      and s_lc = Array.unsafe_get local_cells p in
       let track = !cells_valid in
       let inv0, todo' =
         match s_todo with inv :: tl -> (inv, tl) | [] -> assert false
@@ -1254,8 +1314,10 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
       Array.unsafe_set next_op p (s_nextop + 1);
       Array.unsafe_set local p local';
       if track then begin
-        ops_cells.(p) <- I.pair ist (fp_op_cell ist op) s_opsc;
-        proc_cells.(p) <- mut_proc_cell p
+        Array.unsafe_set ops_cells p
+          (I.pair ist (fp_op_cell ist ~resp ~steps:0) s_opsc);
+        if local' != s_local then
+          Array.unsafe_set local_cells p (I.intern ist local')
       end;
       incr events;
       let st' =
@@ -1272,16 +1334,17 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
       Array.unsafe_set local p s_local;
       if track then begin
         Array.unsafe_set ops_cells p s_opsc;
-        Array.unsafe_set proc_cells p s_pc
+        Array.unsafe_set local_cells p s_lc
       end
       else cells_valid := false
   (* One base access by [p] on [obj] along decision [d]: the object moves to
      cell [qc] (a glitch passes the current cell — degraded reads never
-     mutate), the program to [next] on response [resp], and [gl] glitches
+     mutate), the program to [next] on response cell [rc], and [gl] glitches
      are spent; recurse, restore. *)
-  and acc_child p cl child_dirty fresh obj qc next resp d gl child_sleep
+  and acc_child p cl child_dirty fresh obj qc next rc d gl child_sleep
       trace_rev st =
     let tr = d :: trace_rev in
+    let resp = I.value rc in
     let s_q = Array.unsafe_get objs obj
     and s_qc = Array.unsafe_get obj_cells obj in
     let s_hist = Array.unsafe_get hist obj
@@ -1298,17 +1361,17 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
     let s_node = Array.unsafe_get p_node p in
     let s_ops = !ops_rev in
     let s_opsc = Array.unsafe_get ops_cells p
-    and s_pc = Array.unsafe_get proc_cells p in
+    and s_pendc = Array.unsafe_get pend_cells p
+    and s_lc = Array.unsafe_get local_cells p in
     let track = !cells_valid in
-    let inv0, op_index, started, steps_done, resps_rev =
-      if fresh then
-        ( (match s_todo with inv :: _ -> inv | [] -> assert false),
-          s_nextop,
-          !events,
-          0,
-          [] )
-      else (s_inv0, s_opidx, s_started, s_steps, s_resps)
+    let inv0 =
+      if fresh then match s_todo with inv :: _ -> inv | [] -> assert false
+      else s_inv0
     in
+    let op_index = if fresh then s_nextop else s_opidx in
+    let started = if fresh then !events else s_started in
+    let steps_done = if fresh then 0 else s_steps in
+    let resps_rev = if fresh then [] else s_resps in
     if qc != s_qc then begin
       Array.unsafe_set objs obj (I.value qc);
       Array.unsafe_set obj_cells obj qc;
@@ -1342,8 +1405,14 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
         Array.unsafe_set haspend p false;
         Array.unsafe_set next_op p (op_index + 1);
         Array.unsafe_set local p local';
-        if track then
-          Array.unsafe_set ops_cells p (I.pair ist (fp_op_cell ist op) s_opsc);
+        if track then begin
+          Array.unsafe_set ops_cells p
+            (I.pair ist (fp_op_cell ist ~resp:res ~steps:(steps_done + 1))
+               s_opsc);
+          Array.unsafe_set pend_cells p unit_cell;
+          if local' != s_local then
+            Array.unsafe_set local_cells p (I.intern ist local')
+        end;
         Some op
       | Program.Invoke _ ->
         Array.unsafe_set haspend p true;
@@ -1353,9 +1422,12 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
         Array.unsafe_set p_steps p (steps_done + 1);
         Array.unsafe_set p_resps p (resp :: resps_rev);
         Array.unsafe_set p_node p next;
+        if track then
+          Array.unsafe_set pend_cells p
+            (I.pair ist rc
+               (if fresh then fp_pend_root ist ~inv0 ~op_index else s_pendc));
         None
     in
-    if track then Array.unsafe_set proc_cells p (mut_proc_cell p);
     incr events;
     let st' =
       match completed with
@@ -1385,7 +1457,8 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
     ops_rev := s_ops;
     if track then begin
       Array.unsafe_set ops_cells p s_opsc;
-      Array.unsafe_set proc_cells p s_pc
+      Array.unsafe_set pend_cells p s_pendc;
+      Array.unsafe_set local_cells p s_lc
     end
     else cells_valid := false
   (* [p] halts mid-operation; its pending attempt stays pending. *)
@@ -1417,7 +1490,7 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
   and recover_child p cl trace_rev st =
     let tr = { Faults.proc = p; kind = Faults.Recover } :: trace_rev in
     let s_todo = todo.(p) and s_haspend = haspend.(p) in
-    let s_pc = proc_cells.(p) in
+    let s_pendc = pend_cells.(p) in
     let track = !cells_valid in
     crashed := !crashed land lnot (1 lsl p);
     decr recoveries_left;
@@ -1425,7 +1498,7 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
     if s_haspend then begin
       todo.(p) <- p_inv0.(p) :: s_todo;
       haspend.(p) <- false;
-      if track then proc_cells.(p) <- mut_proc_cell p
+      if track then pend_cells.(p) <- unit_cell
     end;
     go cl (-1) 0 tr st;
     decr events;
@@ -1433,7 +1506,7 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
     crashed := !crashed lor (1 lsl p);
     todo.(p) <- s_todo;
     haspend.(p) <- s_haspend;
-    if track then proc_cells.(p) <- s_pc
+    if track then pend_cells.(p) <- s_pendc
     else if s_haspend then cells_valid := false
   (* Follow decision [d] of the prefix being replayed through the same edges
      the search takes, without counting or probing anything. *)
@@ -1460,15 +1533,15 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
         let row = cl.crow.(p) in
         if i < 0 || i >= row.Step_table.n_alts then
           fail "replay: p%d has no step alternative %d" p i;
-        let resp = I.value row.Step_table.cells.((2 * i) + 1) in
+        let rc = row.Step_table.cells.((2 * i) + 1) in
         acc_child p cl (-1) (k = 2) cl.cobj.(p)
           row.Step_table.cells.(2 * i)
-          (Program.step cl.cnode.(p) resp)
-          resp d 0 sleep trace_rev st)
+          (Program.step cl.cnode.(p) (I.value rc))
+          rc d 0 sleep trace_rev st)
     | Faults.Glitch i -> (
       match List.nth_opt (glitch_alts p) i with
-      | Some (obj, r, next) ->
-        acc_child p cl (-1) (not haspend.(p)) obj obj_cells.(obj) next r d 1
+      | Some (obj, rc, next) ->
+        acc_child p cl (-1) (not haspend.(p)) obj obj_cells.(obj) next rc d 1
           sleep trace_rev st
       | None -> fail "replay: p%d has no glitch alternative %d" p i)
     | Faults.Crash ->
@@ -1497,7 +1570,15 @@ let kernel impl ~workloads ~faults ~(opts : options) ~fuel
     recorded := [];
     List.rev_map (fun (tr, s) -> (List.rev tr, s)) r
   in
-  { walk; release = (fun () -> cc.cc_pool <- Some ms) }
+  let release () =
+    cc.cc_pool <- Some ms;
+    match dd with
+    | Some { table = Some ({ table = Some tbl; _ } as fx); _ } ->
+      fx.table <- None;
+      give_back_table tbl
+    | _ -> ()
+  in
+  { walk; release }
 
 (* Physically recognizable defaults: when the caller supplied no leaf
    consumer (and no tracker), the kernel can skip materializing leaf records

@@ -11,13 +11,13 @@
     independent reductions, each an option:
 
     - {b duplicate-state pruning} ([dedup]): configurations are fingerprinted
-      — object states, per-process control state (todo suffix, pending
-      continuation identified by its invocation + responses so far, local
-      state), completed operations' {e values} and step counts, crash
+      — object states, per-process control state (operations issued,
+      pending continuation identified by its invocation + responses so far,
+      local state), completed operations' {e values} and step counts, crash
       bookkeeping, event and access totals — and a revisited fingerprint cuts
       the whole subtree ([stats.pruned] counts the cuts). The key is a flat
       [int array] of hash-consed cell ids, maintained incrementally along
-      tree edges and hashed into a fixed-width ⟨hi, lo⟩ 124-bit fingerprint
+      tree edges in O(1) without allocating, and hashed into a fixed-width ⟨hi, lo⟩ 124-bit fingerprint
       ({!Wfc_spec.Fingerprint}) probed in an open-addressing table — no
       boxed key is built on the hot path; the risk of a hash-compaction
       collision is ≈2^-64 at 10^9 states. Runs that outgrow

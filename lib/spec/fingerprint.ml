@@ -32,8 +32,8 @@ let fold_array ~seed mult a ~len =
   done;
   !h
 
-let hash_array a ~len =
-  (fold_array ~seed:0x9E3779B9 m1 a ~len, fold_array ~seed:0x85EBCA6B m2 a ~len)
+let hash_hi a ~len = fold_array ~seed:0x9E3779B9 m1 a ~len
+let hash_lo a ~len = fold_array ~seed:0x85EBCA6B m2 a ~len
 
 (* 62-bit string hash used as the checkpoint body digest: the two lanes of
    the underlying structural hash folded together. One pass, no allocation,
@@ -73,7 +73,14 @@ module Table = struct
 
   let length t = t.count
 
-  let remap ~hi ~lo = if hi = 0 && lo = 0 then (0, 1) else (hi, lo)
+  let clear t =
+    Array.fill t.hi 0 (t.mask + 1) 0;
+    Array.fill t.lo 0 (t.mask + 1) 0;
+    t.count <- 0
+
+  (* The lo lane of a key after the ⟨0, 0⟩ → ⟨0, 1⟩ remapping (hi is kept),
+     computed on its own so a probe builds no pair. *)
+  let remap_lo ~hi ~lo = if hi = 0 && lo = 0 then 1 else lo
 
   (* Insert into [hi]/[lo] assuming the key is absent and there is room. *)
   let insert_fresh hi lo mask h l =
@@ -99,7 +106,7 @@ module Table = struct
   (* The one hot-path operation: membership probe that records the key on a
      miss. Returns [true] when the fingerprint was already present. *)
   let mem_or_add t ~hi ~lo =
-    let h, l = remap ~hi ~lo in
+    let h = hi and l = remap_lo ~hi ~lo in
     let mask = t.mask in
     let thi = t.hi and tlo = t.lo in
     let i = ref (l land mask) in

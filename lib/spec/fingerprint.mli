@@ -14,10 +14,12 @@
     engine on this tier reports its result as probabilistic rather than
     exhaustive. *)
 
-val hash_array : int array -> len:int -> int * int
-(** [hash_array a ~len] folds [a.(0 .. len-1)] into a ⟨hi, lo⟩ fingerprint.
-    Position-sensitive in both lanes; only the first [len] elements are
-    read. Both lanes are non-negative. *)
+val hash_hi : int array -> len:int -> int
+val hash_lo : int array -> len:int -> int
+(** [hash_hi a ~len] and [hash_lo a ~len] fold [a.(0 .. len-1)] into the
+    two lanes of a ⟨hi, lo⟩ fingerprint, each with its own seed and mixer,
+    so a probe builds no pair. Position-sensitive in both lanes; only the
+    first [len] elements are read. Both lanes are non-negative. *)
 
 val hash_string : string -> int
 (** One-pass 62-bit digest of a string (both mixer lanes folded together).
@@ -40,6 +42,10 @@ module Table : sig
       The only hot-path operation. *)
 
   val length : t -> int
+
+  val clear : t -> unit
+  (** Empty the table, keeping its capacity: O(capacity), allocates
+      nothing. *)
 
   val iter : (hi:int -> lo:int -> unit) -> t -> unit
   (** Iterate stored fingerprints (used to migrate a table into a {!Bloom}

@@ -108,6 +108,11 @@ let miss t tbl id b qc ~port ~inv =
   t.compiled <- t.compiled + 1;
   row
 
+(* The physical scan, top-level so that a hit allocates nothing. *)
+let rec find_row inv = function
+  | [] -> raise_notrace Not_found
+  | (i, row) :: rest -> if i == inv then row else find_row inv rest
+
 let row_cells t qc ~port ~inv =
   let spec = t.spec in
   if port < 0 || port >= spec.Type_spec.ports then
@@ -119,11 +124,9 @@ let row_cells t qc ~port ~inv =
   let tbl = t.tables.(port) in
   let tbl = if id < Array.length tbl then tbl else grow t ~port id in
   let b = Array.unsafe_get tbl id in
-  let rec find = function
-    | [] -> miss t tbl id b qc ~port ~inv
-    | (i, row) :: rest -> if i == inv then row else find rest
-  in
-  find b.rows
+  match find_row inv b.rows with
+  | row -> row
+  | exception Not_found -> miss t tbl id b qc ~port ~inv
 
 let alternatives t q ~port ~inv =
   (row_cells t (I.intern t.ist q) ~port ~inv:(I.value (I.intern t.ist inv)))

@@ -193,12 +193,22 @@ end
 module Map = Map.Make (Ord)
 module Set = Set.Make (Ord)
 
-(* Hash-consing. A [state] owns an intern table mapping a *shallow* key —
-   constructor tag plus the ids of already-interned children — to a unique
-   [cell]. Interning is bottom-up, so two structurally equal values always
-   reach the same cell: equality on cells is physical equality, the hash is
-   cached (and equal to [hash] of the underlying value), and the id gives a
-   total order that is cheap to sort on.
+(* Hash-consing. A [state] owns an intern table holding one [cell] per
+   distinct value interned into it. Interning is bottom-up, so two
+   structurally equal values always reach the same cell: equality on cells is
+   physical equality, the hash is cached (and equal to [hash] of the
+   underlying value), and the id gives a total order that is cheap to sort
+   on.
+
+   The table is open addressing over the cells themselves, indexed by their
+   cached hash. A lookup is compared against the arguments in place — an
+   atom by its payload, a pair by the physical identity of its two
+   children's canonical values, a list by walking its elements against the
+   argument cells, an arbitrary value by structural equality — so a hit
+   allocates nothing: no key, no closure, no option, no boxed [Int]. Only a
+   miss builds the value and its cell. Physical identity of the canonical
+   child values is identity of the child cells: every cell's value is built
+   from its children's canonical values, and no two cells share a value.
 
    States are deliberately NOT global: the exploration engine creates one
    state per run (and the compiled kernel one per domain), living exactly
@@ -207,74 +217,138 @@ module Set = Set.Make (Ord)
    once without any locking. *)
 module Intern = struct
   let structural_hash = hash
+  let structural_equal = equal
 
   type cell = { value : t; chash : int; id : int }
 
-  type key =
-    | KAtom of t (* Unit | Bool | Int | Sym: compared structurally *)
-    | KPair of int * int (* child cell ids *)
-    | KList of int list
+  (* The empty-slot sentinel; never handed out. *)
+  let vacant = { value = Unit; chash = -1; id = -1 }
 
-  module KH = Hashtbl.Make (struct
-    type t = key
+  type state = {
+    mutable slots : cell array;  (* power-of-two capacity, at most half full *)
+    mutable next_id : int;  (* also the number of cells *)
+  }
 
-    let equal k1 k2 =
-      match (k1, k2) with
-      | KAtom a, KAtom b -> equal a b
-      | KPair (a1, b1), KPair (a2, b2) -> a1 = a2 && b1 = b2
-      | KList a, KList b -> List.equal Int.equal a b
-      | (KAtom _ | KPair _ | KList _), _ -> false
-
-    let hash = function
-      | KAtom a -> structural_hash a
-      | KPair (a, b) -> combine (combine 7 a) b
-      | KList ids -> List.fold_left combine 11 ids
-  end)
-
-  type state = { cells : cell KH.t; mutable next_id : int }
-
-  let create () = { cells = KH.create 512; next_id = 0 }
+  let create () = { slots = Array.make 256 vacant; next_id = 0 }
   let value c = c.value
   let hash c = c.chash
   let id c = c.id
   let equal (a : cell) (b : cell) = a == b
   let compare_id (a : cell) (b : cell) = Int.compare a.id b.id
 
-  (* [build] is only run on a miss, so hits allocate nothing. [h] must equal
-     [structural_hash (build ())]; the constructors below maintain this by
-     replaying the [hash] recurrence on the children's cached hashes. *)
-  let find st key build h =
-    match KH.find_opt st.cells key with
-    | Some c -> c
-    | None ->
-      let c = { value = build (); chash = h; id = st.next_id } in
-      st.next_id <- st.next_id + 1;
-      KH.add st.cells key c;
-      c
+  let home h mask =
+    let x = h * 0x2545F4914F6CDD1D in
+    (x lxor (x lsr 29)) land mask
 
-  let atom st v = find st (KAtom v) (fun () -> v) (structural_hash v)
-  let unit st = atom st Unit
-  let bool st b = atom st (Bool b)
-  let int st i = atom st (Int i)
-  let sym st s = atom st (Sym s)
+  let rec values_are vs cs =
+    match (vs, cs) with
+    | [], [] -> true
+    | v :: vs, c :: cs -> v == c.value && values_are vs cs
+    | _ -> false
+
+  (* What a lookup compares a stored value against. Each takes its
+     arguments unboxed, and is passed as a static closure, so a probe
+     allocates nothing. *)
+  let is_bool v b () = match v with Bool b' -> b = b' | _ -> false
+  let is_int v n () = match v with Int m -> m = n | _ -> false
+  let is_sym v s () = match v with Sym s' -> String.equal s s' | _ -> false
+  let is_pair v x y = match v with Pair (a, b) -> a == x && b == y | _ -> false
+  let is_list v cs () = match v with List vs -> values_are vs cs | _ -> false
+  let is_value v w () = v == w || structural_equal v w
+
+  let rec probe eq slots mask i h a b =
+    let c = Array.unsafe_get slots i in
+    if c == vacant || (c.chash = h && eq c.value a b) then i
+    else probe eq slots mask ((i + 1) land mask) h a b
+
+  (* The slot of the cell with hash [h] that [eq] accepts, or the vacant
+     slot where that cell belongs. *)
+  let find st eq h a b =
+    let slots = st.slots in
+    let mask = Array.length slots - 1 in
+    probe eq slots mask (home h mask) h a b
+
+  let grow st =
+    let old = st.slots in
+    let cap = 2 * Array.length old in
+    let slots = Array.make cap vacant and mask = cap - 1 in
+    Array.iter
+      (fun c ->
+        if c != vacant then begin
+          let i = ref (home c.chash mask) in
+          while Array.unsafe_get slots !i != vacant do
+            i := (!i + 1) land mask
+          done;
+          Array.unsafe_set slots !i c
+        end)
+      old;
+    st.slots <- slots
+
+  (* The miss path: a new cell in vacant slot [i] of the current table. [h]
+     must equal [structural_hash v]; the constructors below maintain this by
+     replaying the [hash] recurrence on the children's cached hashes. *)
+  let add st i v h =
+    let c = { value = v; chash = h; id = st.next_id } in
+    Array.unsafe_set st.slots i c;
+    st.next_id <- st.next_id + 1;
+    if 2 * st.next_id > Array.length st.slots then grow st;
+    c
+
+  (* Atoms hash exactly as [hash] does, without building the atom. *)
+  let bool st b =
+    let h = if b then 31 else 37 in
+    let i = find st is_bool h b () in
+    let c = Array.unsafe_get st.slots i in
+    if c != vacant then c else add st i (Bool b) h
+
+  let int st n =
+    let h = Hashtbl.hash n in
+    let i = find st is_int h n () in
+    let c = Array.unsafe_get st.slots i in
+    if c != vacant then c else add st i (Int n) h
+
+  let sym st s =
+    let h = Hashtbl.hash s in
+    let i = find st is_sym h s () in
+    let c = Array.unsafe_get st.slots i in
+    if c != vacant then c else add st i (Sym s) h
 
   let pair st a b =
-    find st
-      (KPair (a.id, b.id))
-      (fun () -> Pair (a.value, b.value))
-      (combine (combine pair_seed a.chash) b.chash)
+    let h = combine (combine pair_seed a.chash) b.chash in
+    let i = find st is_pair h a.value b.value in
+    let c = Array.unsafe_get st.slots i in
+    if c != vacant then c else add st i (Pair (a.value, b.value)) h
+
+  let rec list_hash acc = function
+    | [] -> acc
+    | c :: cs -> list_hash (combine acc c.chash) cs
 
   let list st cs =
-    find st
-      (KList (List.map (fun c -> c.id) cs))
-      (fun () -> List (List.map (fun c -> c.value) cs))
-      (List.fold_left (fun acc c -> combine acc c.chash) list_seed cs)
+    let h = list_hash list_seed cs in
+    let i = find st is_list h cs () in
+    let c = Array.unsafe_get st.slots i in
+    if c != vacant then c
+    else add st i (List (List.map (fun c -> c.value) cs)) h
 
+  (* A hit is found by structural equality against the stored canonical
+     value, without touching the children; only a miss interns them, in the
+     order the bottom-up constructors always have (a pair's right child
+     first), and then the node itself. *)
   let rec intern st v =
-    match v with
-    | Unit | Bool _ | Int _ | Sym _ -> atom st v
-    | Pair (a, b) -> pair st (intern st a) (intern st b)
-    | List xs -> list st (List.map (intern st) xs)
+    let h = structural_hash v in
+    let i = find st is_value h v () in
+    let c = Array.unsafe_get st.slots i in
+    if c != vacant then c
+    else
+      match v with
+      | Unit | Bool _ | Int _ | Sym _ -> add st i v h
+      | Pair (a, b) ->
+        let cb = intern st b in
+        let ca = intern st a in
+        pair st ca cb
+      | List xs -> list st (List.map (intern st) xs)
+
+  let unit st = intern st Unit
 
   (* Hashtable keyed on cells of a single state: physical equality plus the
      (unique, densely allocated) id as hash — probes never walk values. *)

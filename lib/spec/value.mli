@@ -76,6 +76,11 @@ module Set : Set.S with type elt = t
     pointer comparison and hashing is a field read — O(1) instead of a walk
     over the whole configuration tree.
 
+    A lookup that finds an existing cell (a hit) allocates nothing: every
+    constructor below probes the table in place, comparing stored cells
+    against its arguments without building a key, a closure or an option.
+    Only a miss allocates, the new value and its cell.
+
     States are not global and not thread-safe by design: create one per
     domain (or per run) and key only that owner's tables on its cells. The
     exploration engine pairs each dedup table with its own state, so
@@ -111,10 +116,13 @@ module Intern : sig
       for canonical sorting; this one is O(1). *)
 
   val intern : state -> t -> cell
-  (** Bottom-up interning of an arbitrary value. *)
+  (** Bottom-up interning of an arbitrary value. A hit costs one structural
+      hash and one structural comparison against the stored value, and
+      allocates nothing. *)
 
   (** Smart constructors interning one node given already-interned children —
-      O(1) each (amortized), no traversal of the children. *)
+      O(1) each (amortized; [list] is linear in the list's length), no
+      traversal of the children, no allocation on a hit. *)
 
   val unit : state -> cell
   val bool : state -> bool -> cell

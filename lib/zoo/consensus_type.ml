@@ -19,13 +19,13 @@ let make ~name ~ports domain =
 
 let binary ~ports =
   make
-    ~name:(Fmt.str "consensus%d" ports)
+    ~name:("consensus" ^ string_of_int ports)
     ~ports
     [ Value.falsity; Value.truth ]
 
 let any ~ports =
   Type_spec.make
-    ~name:(Fmt.str "consensus%d-any" ports)
+    ~name:("consensus" ^ string_of_int ports ^ "-any")
     ~ports ~initial:bot
     ~invocations:[ Ops.propose Value.unit ]
     ~oblivious:true
@@ -40,6 +40,6 @@ let any ~ports =
 
 let multivalued ~ports ~values =
   make
-    ~name:(Fmt.str "consensus%d-val%d" ports values)
+    ~name:("consensus" ^ string_of_int ports ^ "-val" ^ string_of_int values)
     ~ports
     (List.init values Value.int)

@@ -15,7 +15,7 @@ let constant ~ports =
 let ack_counter ~ports ~modulus =
   let states = List.init modulus Value.int in
   Type_spec.deterministic_oblivious
-    ~name:(Fmt.str "ack-counter%d" modulus)
+    ~name:("ack-counter" ^ string_of_int modulus)
     ~ports ~initial:(Value.int 0) ~states ~responses:[ Ops.ok ]
     ~invocations:[ inc ]
     (fun q _ -> (Value.int ((Value.as_int q + 1) mod modulus), Ops.ok))

@@ -20,7 +20,7 @@ let bounded ~ports ~values =
   if values < 2 then invalid_arg "Register.bounded: values < 2";
   let domain = List.init values Value.int in
   Type_spec.deterministic_oblivious
-    ~name:(Fmt.str "atomic-reg%d" values)
+    ~name:("atomic-reg" ^ string_of_int values)
     ~ports ~initial:(Value.int 0) ~states:domain
     ~responses:(Ops.ok :: domain)
     ~invocations:(Ops.read :: List.map Ops.write domain)

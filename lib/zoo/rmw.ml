@@ -18,7 +18,7 @@ let test_and_set ~ports =
 let swap_bounded ~ports ~values =
   let domain = List.init values Value.int in
   Type_spec.deterministic_oblivious
-    ~name:(Fmt.str "swap%d" values)
+    ~name:("swap" ^ string_of_int values)
     ~ports ~initial:(Value.int 0) ~states:domain ~responses:domain
     ~invocations:(Ops.read :: List.map (fun v -> Ops.swap v) domain)
     (fun q inv ->
@@ -39,7 +39,7 @@ let fetch_add_mod ~ports ~modulus =
   let domain = List.init modulus Value.int in
   let deltas = [ Ops.fetch_add 0; Ops.fetch_add 1; Ops.fetch_add 2 ] in
   Type_spec.deterministic_oblivious
-    ~name:(Fmt.str "fetch-add-mod%d" modulus)
+    ~name:("fetch-add-mod" ^ string_of_int modulus)
     ~ports ~initial:(Value.int 0) ~states:domain ~responses:domain
     ~invocations:(Ops.read :: deltas)
     (faa_step ~wrap:(fun n -> ((n mod modulus) + modulus) mod modulus))
@@ -63,7 +63,7 @@ let cas_bounded ~ports ~values =
          states
   in
   Type_spec.deterministic_oblivious
-    ~name:(Fmt.str "cas%d" values)
+    ~name:("cas" ^ string_of_int values)
     ~ports ~initial:bot ~states
     ~responses:(Value.falsity :: Value.truth :: states)
     ~invocations

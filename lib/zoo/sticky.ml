@@ -21,6 +21,6 @@ let bit ~ports = make ~name:"sticky-bit" ~ports [ Value.falsity; Value.truth ]
 
 let bounded ~ports ~values =
   make
-    ~name:(Fmt.str "sticky%d" values)
+    ~name:("sticky" ^ string_of_int values)
     ~ports
     (List.init values Value.int)

@@ -67,12 +67,12 @@ let int_domain values = List.init values Value.int
 
 let regular_bounded ~ports ~values =
   make ~safe:false
-    ~name:(Fmt.str "regular-reg%d" values)
+    ~name:("regular-reg" ^ string_of_int values)
     ~ports (int_domain values)
 
 let safe_bounded ~ports ~values =
   make ~safe:true
-    ~name:(Fmt.str "safe-reg%d" values)
+    ~name:("safe-reg" ^ string_of_int values)
     ~ports (int_domain values)
 
 let safe_values ~ports ~domain =

@@ -515,7 +515,7 @@ let test_bloom_no_false_negatives () =
 (* --- fingerprint hashing sanity --------------------------------------------- *)
 
 let test_hash_sensitivity () =
-  let h = Fingerprint.hash_array in
+  let h a ~len = (Fingerprint.hash_hi a ~len, Fingerprint.hash_lo a ~len) in
   Alcotest.(check bool) "order-sensitive" true
     (h [| 1; 2; 3 |] ~len:3 <> h [| 3; 2; 1 |] ~len:3);
   Alcotest.(check bool) "length-sensitive" true
@@ -530,6 +530,94 @@ let test_hash_sensitivity () =
   Alcotest.(check bool) "string digest separates" true
     (Fingerprint.hash_string "wfc-checkpoint/1"
     <> Fingerprint.hash_string "wfc-checkpoint/2")
+
+(* --- the dedup key's equivalence relation -------------------------------------
+
+   The key's per-process record is maintained incrementally by the kernel
+   (see the fingerprint notes in explore.ml); any change to what it merges
+   moves these exact counts. They pin the relation under symmetry (cas n=4,
+   all inputs equal, one class of four), clean and under crash-recovery,
+   and the local-state component on a machine whose only difference between
+   two converging schedules is a process's local state: a key without the
+   local id merges them and loses a leaf. *)
+
+let test_key_counts () =
+  let cas4 = Protocols.from_cas ~procs:4 () in
+  let equal4 = Array.make 4 [ Ops.propose Value.truth ] in
+  let bit = Register.bit ~ports:2 in
+  let load =
+    Implementation.make ~target:bit ~procs:2
+      ~objects:[ (bit, Value.falsity) ]
+      ~local_init:(fun _ -> Value.falsity)
+      ~program:(fun ~proc:_ ~inv local ->
+        let open Program.Syntax in
+        match inv with
+        | Value.Sym "load" ->
+          let+ v = Program.invoke ~obj:0 Ops.read in
+          (Ops.ok, v)
+        | Value.Sym "loc" -> Program.return (local, local)
+        | b ->
+          let+ _ = Program.invoke ~obj:0 (Ops.write b) in
+          (Ops.ok, local))
+      ()
+  in
+  let cr = Faults.crash_recovery ~crashes:1 ~recoveries:1 in
+  List.iter
+    (fun (name, impl, workloads, faults, dedup_threshold, expect) ->
+      let s =
+        Explore.run impl ~workloads ~faults ~options:Explore.fast
+          ?dedup_threshold ()
+      in
+      Alcotest.(check (list int))
+        (name ^ ": nodes, pruned, sleep skips, leaves")
+        expect
+        [ s.Explore.nodes; s.pruned; s.sleep_skips; s.leaves ])
+    [
+      ("cas4-equal clean", cas4, equal4, Faults.none, None,
+        [ 136; 24; 153; 3 ]);
+      ("cas4-equal crash-recovery", cas4, equal4, cr, None,
+        [ 421; 254; 0; 35 ]);
+      ("cas4-equal crash-recovery, every node probed", cas4, equal4, cr, Some 0,
+        [ 334; 230; 0; 14 ]);
+      ("local state", load,
+        [| [ Value.sym "load"; Value.sym "loc" ]; [ Value.truth ] |],
+        Faults.none, Some 0, [ 8; 0; 0; 3 ]);
+    ]
+
+(* --- hot-path allocation --------------------------------------------------
+
+   Minor words per node of a warm [Explore.fast] run (the compiled context
+   and the spare dedup table already exist). Deterministic; native-only, as
+   bytecode allocates differently. Measured 15.1 (clean, 211 nodes: the
+   per-run set-up weighs in on a tree this small) and 11.4 (crash-recovery,
+   1395 nodes); before the fingerprint upkeep became allocation-free these
+   were 218.8 and 194.3. The bounds leave about 30% headroom. *)
+
+let test_words_per_node () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let impl = Protocols.from_cas ~procs:4 () in
+  let workloads =
+    Array.init 4 (fun p -> [ Ops.propose (Value.bool (p mod 2 = 0)) ])
+  in
+  List.iter
+    (fun (name, faults, nodes, bound) ->
+      let run () =
+        Explore.run impl ~workloads ~faults ~options:Explore.fast ()
+      in
+      ignore (run ());
+      let w0 = Gc.minor_words () in
+      let s = run () in
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check int) (name ^ ": nodes") nodes s.Explore.nodes;
+      let per_node = words /. float_of_int s.Explore.nodes in
+      if per_node > bound then
+        Alcotest.failf "%s: %.1f minor words/node, bound %.0f" name per_node
+          bound)
+    [
+      ("cas4 clean", Faults.none, 211, 20.);
+      ("cas4 crash-recovery", Faults.crash_recovery ~crashes:1 ~recoveries:1,
+        1395, 15.);
+    ]
 
 let () =
   Alcotest.run "wfc_flat"
@@ -556,6 +644,16 @@ let () =
             test_bloom_tier_verdicts;
           Alcotest.test_case "no false negatives" `Quick
             test_bloom_no_false_negatives;
+        ] );
+      ( "dedup key",
+        [
+          Alcotest.test_case "exact counts pin the equivalence" `Quick
+            test_key_counts;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "minor words per node" `Quick
+            test_words_per_node;
         ] );
       ( "fingerprint structures",
         [

@@ -140,6 +140,44 @@ let test_hash_sibling_reorder () =
   Alcotest.(check bool) "lists with swapped heads differ" false
     (Value.hash (Value.list [ a; b; t ]) = Value.hash (Value.list [ b; a; t ]))
 
+(* A hit on a cell that already exists builds nothing: no key, closure,
+   option or boxed [Int]. Deterministic, and native-only: bytecode boxes and
+   allocates differently, so there it is skipped. *)
+let test_intern_hits_allocate_nothing () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let st = I.create () in
+  let n = I.int st 7 and b = I.bool st true and x = I.sym st "x" in
+  let u = I.unit st in
+  let p = I.pair st n x in
+  let cells = [ n; b; x; p; u ] in
+  ignore (I.list st cells);
+  (* structurally equal to interned values, physically fresh *)
+  let v =
+    Value.list [ Value.pair (Value.int 7) (Value.sym "x"); Value.int 7 ]
+  in
+  ignore (I.intern st v);
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let base = words (fun () -> ()) in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (float 0.)) (name ^ " hits allocate 0 words") 0.
+        (words f -. base))
+    [
+      ("unit", fun () -> ignore (Sys.opaque_identity (I.unit st)));
+      ("int", fun () -> ignore (Sys.opaque_identity (I.int st 7)));
+      ("bool", fun () -> ignore (Sys.opaque_identity (I.bool st true)));
+      ("sym", fun () -> ignore (Sys.opaque_identity (I.sym st "x")));
+      ("pair", fun () -> ignore (Sys.opaque_identity (I.pair st n x)));
+      ("list", fun () -> ignore (Sys.opaque_identity (I.list st cells)));
+      ("intern", fun () -> ignore (Sys.opaque_identity (I.intern st v)));
+    ]
+
 (* --- Type_spec --------------------------------------------------------- *)
 
 let toggle =
@@ -303,6 +341,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_intern_roundtrip;
           QCheck_alcotest.to_alcotest prop_intern_sharing;
           QCheck_alcotest.to_alcotest prop_intern_constructors;
+          Alcotest.test_case "hits allocate nothing" `Quick
+            test_intern_hits_allocate_nothing;
         ] );
       ( "type_spec",
         [
